@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 from .dsl import SystemSpec, parse_system
 from .errors import DimensionError, SearchFailed
 from .gf2 import BitVec
-from .zonotope import LogicalZonotope, contains, full_set, singleton
+from .zonotope import (LogicalZonotope, contains, full_set, scalar_normalize,
+                       singleton)
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,6 @@ def make_instance(spec: LfsrSpec, key_bits: Sequence, message: Sequence) -> Ciph
     return CipherInstance(tuple(message), encrypt(spec, key_bits, message))
 
 
-def _scalar_cleanup(z: LogicalZonotope) -> LogicalZonotope:
-    # scalar point set is {c} or {0,1}; keep gamma at 0 or 1
-    if any(g.word for g in z.generators):
-        return LogicalZonotope(z.center, (BitVec(1, 1),))
-    return LogicalZonotope(z.center, ())
-
-
 def _bit(b) -> LogicalZonotope:
     return singleton(BitVec(1, b))
 
@@ -128,8 +122,8 @@ def key_search(spec: LfsrSpec, inst: CipherInstance, *, seed_width: int = 2,
     unknown = full_set(1)
 
     def cipher_zonos(cells):
-        ks = lfsr_keystream(spec, cells, inst.l_m, post=_scalar_cleanup)
-        return [_scalar_cleanup(k ^ _bit(m)) for k, m in zip(ks, inst.message)]
+        ks = lfsr_keystream(spec, cells, inst.l_m, post=scalar_normalize)
+        return [scalar_normalize(k ^ _bit(m)) for k, m in zip(ks, inst.message)]
 
     def consistent(zonos):
         return all(contains(z, BitVec(1, c)) for z, c in zip(zonos, inst.cipher))

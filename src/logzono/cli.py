@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
@@ -217,10 +216,11 @@ def cmd_lfsr(args) -> int:
 
 # ------------------------------------------------- set / reduce / contains
 
-def _zonotope_payload(z: LogicalZonotope, with_points: bool) -> dict:
+def _zonotope_payload(z: LogicalZonotope, with_points: bool,
+                      cap: Optional[int]) -> dict:
     obj = z.to_json_dict()
     if with_points:
-        obj["points"] = [p.to_text() for p in evaluate(z)]
+        obj["points"] = [p.to_text() for p in evaluate(z, cap)]
     return obj
 
 
@@ -235,7 +235,7 @@ def cmd_set(args) -> int:
         if args.b is None:
             raise UsageError(f"'{args.op}' needs two zonotopes")
         result = _BINARY_SET_OPS[args.op](a, _load_zonotope(args.b))
-    obj = _zonotope_payload(result, args.evaluate)
+    obj = _zonotope_payload(result, args.evaluate, cfg.gamma_cap)
     lines = [_canonical_json(obj).rstrip("\n")]
     _emit(cfg, obj, lines)
     return EXIT_OK
@@ -244,8 +244,8 @@ def cmd_set(args) -> int:
 def cmd_reduce(args) -> int:
     cfg = _config_from(args)
     z = _load_zonotope(args.zonotope)
-    r = reduce(z)
-    obj = _zonotope_payload(r, args.evaluate)
+    r = reduce(z, cfg.gamma_cap)
+    obj = _zonotope_payload(r, args.evaluate, cfg.gamma_cap)
     obj["gamma_before"] = z.gamma
     obj["gamma_after"] = r.gamma
     _emit(cfg, obj, [_canonical_json(obj).rstrip("\n")])
@@ -394,11 +394,6 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "gamma_cap", None) is not None:
-        if args.gamma_cap <= 0:
-            print("error: gamma cap must be positive", file=sys.stderr)
-            return EXIT_INPUT
-        os.environ["LOGZONO_GAMMA_CAP"] = str(args.gamma_cap)
     try:
         return _HANDLERS[args.cmd](args)
     except SearchFailed as e:

@@ -386,7 +386,13 @@ def eval_point(e: BoolExpr, env: Mapping[str, int]) -> int:
 
 
 def eval_zonotope(e: BoolExpr, env: Mapping[str, "zn.LogicalZonotope"]) -> "zn.LogicalZonotope":
-    """Evaluate with Minkowski operations over (scalar) zonotope bindings."""
+    """Evaluate with Minkowski operations over zonotope bindings.
+
+    The result of every binary op goes through `zonotope.scalar_normalize`:
+    a 1-bit result keeps gamma <= 1 (its point set is unchanged), so nested
+    ANDs cannot multiply generators; results of any other dimension keep
+    their generators as the Minkowski op made them.
+    """
     match e:
         case Const(v):
             return zn.singleton(BitVec(1, v))
@@ -398,18 +404,20 @@ def eval_zonotope(e: BoolExpr, env: Mapping[str, "zn.LogicalZonotope"]) -> "zn.L
         case Not(a):
             return zn.mink_not(eval_zonotope(a, env))
         case Xor(a, b):
-            return zn.mink_xor(eval_zonotope(a, env), eval_zonotope(b, env))
+            z = zn.mink_xor(eval_zonotope(a, env), eval_zonotope(b, env))
         case And(a, b):
-            return zn.mink_and(eval_zonotope(a, env), eval_zonotope(b, env))
+            z = zn.mink_and(eval_zonotope(a, env), eval_zonotope(b, env))
         case Or(a, b):
-            return zn.mink_or(eval_zonotope(a, env), eval_zonotope(b, env))
+            z = zn.mink_or(eval_zonotope(a, env), eval_zonotope(b, env))
         case Nand(a, b):
-            return zn.mink_nand(eval_zonotope(a, env), eval_zonotope(b, env))
+            z = zn.mink_nand(eval_zonotope(a, env), eval_zonotope(b, env))
         case Nor(a, b):
-            return zn.mink_nor(eval_zonotope(a, env), eval_zonotope(b, env))
+            z = zn.mink_nor(eval_zonotope(a, env), eval_zonotope(b, env))
         case Xnor(a, b):
-            return zn.mink_xnor(eval_zonotope(a, env), eval_zonotope(b, env))
-    raise EvalError(f"not an expression node: {e!r}")
+            z = zn.mink_xnor(eval_zonotope(a, env), eval_zonotope(b, env))
+        case _:
+            raise EvalError(f"not an expression node: {e!r}")
+    return zn.scalar_normalize(z)
 
 
 # ------------------------------------------------------------ pretty print

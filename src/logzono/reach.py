@@ -4,12 +4,16 @@ Two backends:
 
 * "zonotope": one scalar logical zonotope per state variable. Initial and
   input sets are built with enclose_points and reduced, then the update
-  rules are applied with Minkowski operations step by step. After every
-  step each per-variable zonotope is normalized (a scalar point set is
-  either {c} or {0,1}, so gamma collapses to 0 or 1), which keeps long
-  horizons linear-time.
+  rules are applied with Minkowski operations step by step.
+  `dsl.eval_zonotope` normalizes the result of every binary op (a scalar
+  point set is either {c} or {0,1}, so gamma stays 0 or 1), which keeps
+  each step's cost linear in the size of the update rules. With constant
+  input domains, a step whose per-variable state equals the previous one
+  is a fixed point: the remaining steps repeat its record (the same
+  var_sets and zonos objects) with time_s 0.0.
 * "explicit": ground-truth enumeration of the joint reachable set,
-  R_{k+1} = { f(x,u) : x in R_k, u in U_k }.
+  R_{k+1} = { f(x,u) : x in R_k, u in U_k }, with the same fixed-point
+  stop.
 
 The per-step "size" is this library's own convention: the total number of
 points across the per-variable value sets. The joint count (cartesian
@@ -34,7 +38,6 @@ from .zonotope import (LogicalZonotope, contains, enclose_points, evaluate,
                        reduce)
 
 DEFAULT_STATE_BUDGET = 20          # max n_x for the explicit backend
-DEFAULT_REDUCE_THRESHOLD = 8       # reduce non-scalar zonotopes past this gamma
 
 
 @dataclass
@@ -86,37 +89,17 @@ class ContainmentReport:
         return max(self.surplus) if self.surplus else 0
 
 
-def _scalar_normalize(z: LogicalZonotope) -> LogicalZonotope:
-    """Evaluate-preserving cleanup for 1-bit zonotopes.
-
-    A scalar zonotope is {c} when every generator is zero and {0,1}
-    otherwise, so gamma never needs to exceed 1.
-    """
-    if any(g.word for g in z.generators):
-        return LogicalZonotope(z.center, (BitVec(1, 1),))
-    return LogicalZonotope(z.center, ())
-
-
-def _normalize(z: LogicalZonotope, threshold: int) -> LogicalZonotope:
-    if z.dim == 1:
-        return _scalar_normalize(z)
-    if z.gamma > threshold:
-        return reduce(z)
-    return z
-
-
 def _domain_zonotope(domain) -> LogicalZonotope:
     pts = [BitVec(1, b) for b in domain]
     return reduce(enclose_points(pts))
 
 
 def reach(sys: SystemSpec, n: int, backend: str = "zonotope", *,
-          reduce_threshold: int = DEFAULT_REDUCE_THRESHOLD,
           state_budget: int = DEFAULT_STATE_BUDGET) -> ReachResult:
     if n < 0:
         raise UsageError(f"horizon must be nonnegative, got {n}")
     if backend == "zonotope":
-        return _reach_zonotope(sys, n, reduce_threshold)
+        return _reach_zonotope(sys, n)
     if backend == "explicit":
         return _reach_explicit(sys, n, state_budget)
     raise UsageError(f"unknown backend {backend!r}")
@@ -125,12 +108,13 @@ def reach(sys: SystemSpec, n: int, backend: str = "zonotope", *,
 # ------------------------------------------------------------- zonotope
 
 
-def _reach_zonotope(sys: SystemSpec, n: int, threshold: int) -> ReachResult:
+def _reach_zonotope(sys: SystemSpec, n: int) -> ReachResult:
     t0 = time.perf_counter()
     result = ReachResult("zonotope", sys.state_vars, n)
 
     state = {v: _domain_zonotope(sys.init[v]) for v in sys.state_vars}
     result.steps.append(_zono_record(0, sys, state, time.perf_counter() - t0))
+    constant_inputs = sys.input_schedule is None
 
     for k in range(1, n + 1):
         tk = time.perf_counter()
@@ -140,7 +124,17 @@ def _reach_zonotope(sys: SystemSpec, n: int, threshold: int) -> ReachResult:
             env[u] = _domain_zonotope(dom[u])
         for v in sys.updates:
             env[v + "'"] = eval_zonotope(sys.updates[v], env)
-        state = {v: _normalize(env[v + "'"], threshold) for v in sys.state_vars}
+        nxt = {v: env[v + "'"] for v in sys.state_vars}
+        if constant_inputs and nxt == state:
+            # fixed point: every later step repeats the previous record
+            last = result.steps[-1]
+            dt = time.perf_counter() - tk
+            result.steps.extend(
+                StepRecord(j, last.var_sets, last.size, last.joint_count,
+                           dt if j == k else 0.0, zonos=last.zonos)
+                for j in range(k, n + 1))
+            break
+        state = nxt
         result.steps.append(_zono_record(k, sys, state, time.perf_counter() - tk))
 
     result.total_time_s = time.perf_counter() - t0
@@ -154,7 +148,7 @@ def _zono_record(k, sys, state, dt) -> StepRecord:
         var_sets[v] = tuple(p.word for p in ev.points)
     size = sum(len(bits) for bits in var_sets.values())
     joint = math.prod(len(bits) for bits in var_sets.values())
-    return StepRecord(k, var_sets, size, joint, dt, zonos=dict(state))
+    return StepRecord(k, var_sets, size, joint, dt, zonos=state)
 
 
 # ------------------------------------------------------------- explicit
@@ -231,14 +225,21 @@ def _successors(sys: SystemSpec, word: int, assignments) -> set:
     return out
 
 
+def _var_values(joint: ExplicitSet, var_names) -> dict:
+    """var -> sorted tuple of the bits it takes across the joint set."""
+    return {v: tuple(sorted({p.word >> i & 1 for p in joint.points}))
+            for i, v in enumerate(var_names)}
+
+
 def _reach_explicit(sys: SystemSpec, n: int, state_budget: int) -> ReachResult:
     t0 = time.perf_counter()
     sets, times = _exact_reach_timed(sys, n, state_budget)
     result = ReachResult("explicit", sys.state_vars, n)
+    var_sets_of = {}   # id(set) -> var_sets; the fixed-point tail repeats one set
     for k, (s, dt) in enumerate(zip(sets, times)):
-        var_sets = {}
-        for i, v in enumerate(sys.state_vars):
-            var_sets[v] = tuple(sorted({p.word >> i & 1 for p in s.points}))
+        if id(s) not in var_sets_of:
+            var_sets_of[id(s)] = _var_values(s, sys.state_vars)
+        var_sets = var_sets_of[id(s)]
         size = sum(len(bits) for bits in var_sets.values())
         result.steps.append(StepRecord(k, var_sets, size, len(s), dt, joint=s))
     result.total_time_s = time.perf_counter() - t0
@@ -249,18 +250,39 @@ def _reach_explicit(sys: SystemSpec, n: int, state_budget: int) -> ReachResult:
 
 
 def check_containment(r_zono: ReachResult, r_exact: ReachResult) -> ContainmentReport:
-    """Every exact joint state must fall inside the per-variable zonotopes."""
+    """Every exact joint state must fall inside the per-variable zonotopes.
+
+    Each (zonotope, bit) pair is tested once, and a step that shares its
+    zonos and joint set with an earlier one (a fixed-point tail) reuses
+    that step's verdict. The points of a step are walked only when some
+    value a variable takes there is not contained, so violations come in
+    point order, then variable order.
+    """
     if r_zono.horizon != r_exact.horizon or r_zono.var_names != r_exact.var_names:
         raise UsageError("reach results compare different systems or horizons")
     if r_zono.backend != "zonotope" or r_exact.backend != "explicit":
         raise UsageError("expected a zonotope result and an explicit result")
+    names = r_zono.var_names
+    verdicts = {}      # (zonotope, bit) -> contains
+    step_ok = {}       # (id(zonos), id(joint)) -> every value contained
+
+    def holds(z, bit):
+        if (z, bit) not in verdicts:
+            verdicts[z, bit] = contains(z, BitVec(1, bit))
+        return verdicts[z, bit]
+
     violations = []
     surplus = []
     for zs, es in zip(r_zono.steps, r_exact.steps):
-        for point in es.joint:
-            for i, v in enumerate(r_zono.var_names):
-                bit = BitVec(1, point.word >> i & 1)
-                if not contains(zs.zonos[v], bit):
-                    violations.append((zs.k, point.to_text(), v))
+        key = (id(zs.zonos), id(es.joint))
+        if key not in step_ok:
+            values = _var_values(es.joint, names)
+            step_ok[key] = all(holds(zs.zonos[v], bit)
+                               for v in names for bit in values[v])
+        if not step_ok[key]:
+            for point in es.joint:
+                for i, v in enumerate(names):
+                    if not holds(zs.zonos[v], point.word >> i & 1):
+                        violations.append((zs.k, point.to_text(), v))
         surplus.append(zs.size - es.size)
     return ContainmentReport(not violations, violations, surplus)

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import CapacityError, DimensionError, EmptyInputError
+from .errors import CapacityError, DimensionError, EmptyInputError, UsageError
 from .explicit import ExplicitSet
 from .gf2 import BitVec, from_columns, gf2_solve, ones, zeros
 
@@ -22,9 +22,19 @@ _CAP_ENV = "LOGZONO_GAMMA_CAP"
 
 
 def effective_cap(cap: Optional[int] = None) -> int:
+    """`cap` if given, else LOGZONO_GAMMA_CAP, else DEFAULT_GAMMA_CAP."""
     if cap is not None:
         return cap
-    return int(os.environ.get(_CAP_ENV, DEFAULT_GAMMA_CAP))
+    raw = os.environ.get(_CAP_ENV)
+    if raw is None:
+        return DEFAULT_GAMMA_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise UsageError(f"{_CAP_ENV} must be a positive integer, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,26 @@ def evaluate(l: LogicalZonotope, cap: Optional[int] = None) -> ExplicitSet:
         if g.word:
             words |= {w ^ g.word for w in words}
     return ExplicitSet.from_words(l.dim, words)
+
+
+_FREE_BIT = BitVec(1, 1)
+
+
+def scalar_normalize(l: LogicalZonotope) -> LogicalZonotope:
+    """Evaluate-preserving cleanup of a 1-bit zonotope; other dims unchanged.
+
+    A scalar zonotope is {c} when every generator is zero and {0,1}
+    otherwise, so gamma never needs to exceed 1. Each scalar Minkowski
+    op's center and that "free" flag depend only on its operands' centers
+    and flags, so normalizing after every op gives the same result as
+    normalizing once at the end.
+    """
+    if l.dim != 1:
+        return l
+    free = any(g.word for g in l.generators)
+    if l.gamma == (1 if free else 0):
+        return l
+    return LogicalZonotope(l.center, (_FREE_BIT,) if free else ())
 
 
 def mink_xor(l1: LogicalZonotope, l2: LogicalZonotope) -> LogicalZonotope:

@@ -190,6 +190,24 @@ def test_gamma_cap_validation(system_file, capsys):
     assert run(["reach", system_file, "--gamma-cap", "-1"]) == 1
 
 
+def test_gamma_cap_flag_does_not_leak(zono_files, monkeypatch, capsys):
+    monkeypatch.delenv("LOGZONO_GAMMA_CAP", raising=False)
+    a, _ = zono_files
+    assert run(["set", "not", a, "--evaluate", "--gamma-cap", "1"]) == 1
+    assert "cap 1" in capsys.readouterr().err
+    assert "LOGZONO_GAMMA_CAP" not in os.environ
+    assert run(["set", "not", a, "--evaluate"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 4
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_env_gamma_cap_is_input_error(zono_files, monkeypatch, capsys,
+                                          raw):
+    monkeypatch.setenv("LOGZONO_GAMMA_CAP", raw)
+    assert run(["set", "not", zono_files[0], "--evaluate"]) == cli.EXIT_INPUT
+    assert "LOGZONO_GAMMA_CAP" in capsys.readouterr().err
+
+
 def test_bench_intersection_csv(capsys):
     assert run(["bench", "intersection", "--horizons", "2,3",
                 "--backend", "exact"]) == 0

@@ -11,7 +11,9 @@ from logzono.errors import (CyclicReferenceError, DslSyntaxError,
                             UnknownIdentifierError)
 from logzono.explicit import ExplicitSet
 from logzono.gf2 import BitVec
-from logzono.zonotope import LogicalZonotope, evaluate, singleton
+from logzono.zonotope import (LogicalZonotope, evaluate, mink_and, mink_nand,
+                              mink_nor, mink_or, mink_xnor, mink_xor,
+                              singleton)
 
 MINI = """\
 state p1, c1;
@@ -148,6 +150,29 @@ def test_eval_zonotope_annihilation():
     e = parse_system(MINI).updates["p1"]
     env = {"up1": FULL, "p1": bit(1), "c1": bit(1)}
     assert evaluate(eval_zonotope(e, env)).words() == {0}
+
+
+def test_eval_zonotope_keeps_ndim_generators():
+    """Per-op normalization applies to 1-bit results only."""
+    a = LogicalZonotope(BitVec.from_text("10"),
+                        (BitVec.from_text("01"), BitVec.from_text("00"),
+                         BitVec.from_text("11")))
+    b = LogicalZonotope(BitVec.from_text("11"),
+                        (BitVec.from_text("10"), BitVec.from_text("10")))
+    env = {"a": a, "b": b}
+    ops = {Xor: mink_xor, Xnor: mink_xnor, And: mink_and, Nand: mink_nand,
+           Or: mink_or, Nor: mink_nor}
+    for ctor, op in ops.items():
+        assert eval_zonotope(ctor(Var("a"), Var("b")), env) == op(a, b)
+    assert eval_zonotope(Not(And(Var("a"), Var("b"))), env).gamma == 3 + 2 + 3 * 2
+
+
+def test_eval_zonotope_normalizes_scalar_results():
+    a = LogicalZonotope(BitVec(1, 1), (BitVec(1, 0), BitVec(1, 1)))
+    b = LogicalZonotope(BitVec(1, 0), (BitVec(1, 1), BitVec(1, 1)))
+    out = eval_zonotope(And(Var("a"), Var("b")), {"a": a, "b": b})
+    assert out == LogicalZonotope(BitVec(1, 0), (BitVec(1, 1),))
+    assert evaluate(out) == evaluate(mink_and(a, b))
 
 
 def rand_expr(rng, names, depth):

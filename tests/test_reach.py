@@ -2,10 +2,18 @@ import random
 
 import pytest
 
-from logzono.dsl import parse_system
+from logzono.casestudies import intersection_system
+from logzono.dsl import (And, Const, Nand, Nor, Not, Or, Var, Xnor, Xor,
+                         parse_system)
 from logzono.errors import CapacityError, UsageError
-from logzono.reach import (check_containment, exact_reach, reach)
-from tests_util_systems import LFSR4_SOURCE
+from logzono.gf2 import BitVec
+from logzono.reach import (ReachResult, StepRecord, check_containment,
+                           exact_reach, reach)
+from logzono.zonotope import (LogicalZonotope, enclose_points, evaluate,
+                              full_set, mink_and, mink_nand, mink_nor,
+                              mink_not, mink_or, mink_xnor, mink_xor, reduce,
+                              singleton)
+from tests_util_systems import LFSR4_SOURCE, random_system_source
 
 
 def counter_system():
@@ -149,3 +157,112 @@ def test_per_step_input_schedule():
     assert sets[1].words() == {0}
     assert sets[2].words() == {1}
     assert sets[3].words() == {0, 1}
+
+
+def test_input_schedule_disables_fixed_point_stop():
+    from dataclasses import replace
+    sys_ = parse_system("state x; input u; x' = x ^ u; init x = 0; in u = 0;")
+    timed = replace(sys_, input_schedule=({"u": (0,)}, {"u": (0,)}, {"u": (1,)}))
+    for backend in ("zonotope", "explicit"):
+        r = reach(timed, 3, backend)
+        assert [s.var_sets["x"] for s in r.steps] == [(0,), (0,), (0,), (1,)]
+
+
+def test_check_containment_lists_lost_states_in_order():
+    """A hand-built unsound zonotope result: violations come per step, in
+    the explicit set's point order, then in variable order."""
+    sys_ = parse_system("state a, b; a' = !a; b' = a ^ b;"
+                        "init a = {0,1}; init b = 0;")
+    rx = reach(sys_, 2, "explicit")
+    assert [[p.to_text() for p in s.joint] for s in rx.steps] == [
+        ["00", "10"], ["01", "10"], ["01", "11"]]
+    # steps 0 and 2 share one dict, as a fixed-point tail does; it holds
+    # every state of step 0 but not those of step 2
+    partial = {"a": full_set(1), "b": singleton(BitVec(1, 0))}
+    bad = {"a": singleton(BitVec(1, 1)), "b": singleton(BitVec(1, 0))}
+    rz = ReachResult("zonotope", ("a", "b"), 2, [
+        StepRecord(0, {"a": (0, 1), "b": (0,)}, 3, 2, 0.0, zonos=partial),
+        StepRecord(1, {"a": (1,), "b": (0,)}, 2, 1, 0.0, zonos=bad),
+        StepRecord(2, {"a": (0, 1), "b": (0,)}, 3, 2, 0.0, zonos=partial),
+    ])
+    rep = check_containment(rz, rx)
+    assert not rep.ok
+    assert rep.violations == [(1, "01", "a"), (1, "01", "b"),
+                              (2, "01", "b"), (2, "11", "b")]
+    assert rep.surplus == [0, -2, 0]
+
+
+_MINK = {Xor: mink_xor, And: mink_and, Or: mink_or, Nand: mink_nand,
+         Nor: mink_nor, Xnor: mink_xnor}
+
+
+def _raw_eval(e, env):
+    """Minkowski evaluation without any per-op normalization."""
+    match e:
+        case Const(v):
+            return singleton(BitVec(1, v))
+        case Var(name, primed):
+            return env[name + "'" if primed else name]
+        case Not(a):
+            return mink_not(_raw_eval(a, env))
+    return _MINK[type(e)](_raw_eval(e.a, env), _raw_eval(e.b, env))
+
+
+def _collapse(z):
+    if any(g.word for g in z.generators):
+        return LogicalZonotope(z.center, (BitVec(1, 1),))
+    return LogicalZonotope(z.center, ())
+
+
+def _plain_zonotope_reach(sys_, n):
+    """Reference: raw ops within a step, one normalize at its end, every
+    step computed (no fixed-point stop); (k, var_sets, size, joint, zonos)."""
+    def domain(bits):
+        return reduce(enclose_points([BitVec(1, b) for b in bits]))
+
+    state = {v: domain(sys_.init[v]) for v in sys_.state_vars}
+    out = []
+    for k in range(n + 1):
+        if k:
+            env = dict(state)
+            env.update((u, domain(d)) for u, d in sys_.inputs_at(k - 1).items())
+            for v, e in sys_.updates.items():
+                env[v + "'"] = _raw_eval(e, env)
+            state = {v: _collapse(env[v + "'"]) for v in sys_.state_vars}
+        var_sets = {v: tuple(p.word for p in evaluate(state[v]))
+                    for v in sys_.state_vars}
+        sizes = [len(b) for b in var_sets.values()]
+        joint = 1
+        for size in sizes:
+            joint *= size
+        out.append((k, var_sets, sum(sizes), joint, dict(state)))
+    return out
+
+
+def _records(result):
+    return [(s.k, s.var_sets, s.size, s.joint_count, s.zonos)
+            for s in result.steps]
+
+
+def test_zonotope_reach_matches_plain_step_loop():
+    rng = random.Random(1202)
+    stopped = 0
+    for _ in range(120):
+        src = random_system_source(rng, rng.randint(1, 6),
+                                   rng.randint(0, 2), rng.randint(1, 3))
+        sys_ = parse_system(src)
+        n = rng.randint(0, 12)
+        rz = reach(sys_, n, "zonotope")
+        assert _records(rz) == _plain_zonotope_reach(sys_, n), src
+        stopped += any(s.time_s == 0.0 for s in rz.steps[1:])
+    assert stopped > 0          # the fixed-point stop was exercised
+
+
+def test_intersection_zonotope_reach_stops_at_fixed_point():
+    sys_ = intersection_system()
+    rz = reach(sys_, 50, "zonotope")
+    assert _records(rz) == _plain_zonotope_reach(sys_, 50)
+    assert [s.time_s == 0.0 for s in rz.steps[4:]] == [True] * 47
+    tail = rz.steps[3:]
+    assert all(s.zonos is tail[0].zonos and s.var_sets is tail[0].var_sets
+               for s in tail)

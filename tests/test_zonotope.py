@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logzono.errors import CapacityError, DimensionError, EmptyInputError
+from logzono.errors import (CapacityError, DimensionError, EmptyInputError,
+                            UsageError)
 from logzono.explicit import ExplicitSet, oracle_not, oracle_op
 from logzono.gf2 import BitVec, ones, zeros
-from logzono.zonotope import (LogicalZonotope, contains, enclose_points,
-                              evaluate, full_set, mink_and, mink_nand,
-                              mink_nor, mink_not, mink_or, mink_xnor,
-                              mink_xor, reduce, singleton)
+from logzono.zonotope import (LogicalZonotope, contains, effective_cap,
+                              enclose_points, evaluate, full_set, mink_and,
+                              mink_nand, mink_nor, mink_not, mink_or,
+                              mink_xnor, mink_xor, reduce, scalar_normalize,
+                              singleton)
 
 
 def Z(center, *gens):
@@ -76,6 +78,29 @@ def test_gamma_cap_env_override(monkeypatch):
     monkeypatch.setenv("LOGZONO_GAMMA_CAP", "2")
     with pytest.raises(CapacityError, match="cap 2"):
         evaluate(Z("0", "1", "1", "1"))
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", "", "0", "-3"])
+def test_gamma_cap_env_must_be_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("LOGZONO_GAMMA_CAP", raw)
+    with pytest.raises(UsageError, match="LOGZONO_GAMMA_CAP"):
+        effective_cap()
+    with pytest.raises(UsageError, match="LOGZONO_GAMMA_CAP"):
+        evaluate(Z("0", "1"))
+    assert effective_cap(3) == 3
+
+
+def test_scalar_normalize():
+    rng = random.Random(23)
+    for _ in range(100):
+        l = LogicalZonotope(BitVec(1, rng.getrandbits(1)),
+                            tuple(BitVec(1, rng.getrandbits(1))
+                                  for _ in range(rng.randint(0, 4))))
+        out = scalar_normalize(l)
+        assert out.gamma <= 1 and evaluate(out) == evaluate(l)
+        assert scalar_normalize(out) == out
+    wide = Z("10", "01", "00", "01")
+    assert scalar_normalize(wide) is wide
 
 
 def test_point_count_bound():
