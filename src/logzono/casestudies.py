@@ -1,9 +1,11 @@
 """Two worked case studies: LFSR key search and an intersection protocol.
 
 The LFSR search recovers a stream-cipher key from one message/ciphertext
-pair by propagating unknown key bits as {0,1} zonotopes through the
-keystream (XOR-only, so propagation is exact) and fixing one bit at a
-time with containment tests.
+pair. The unknown key bits are the generators of one logical zonotope:
+each keystream cell is a center bit plus a mask over those shared
+generators, and the keystream is XOR-only, so propagation is exact. The
+ciphertext lies in the resulting zonotope exactly when some key produces
+it, and the GF(2) solve that tests this containment returns that key.
 
 The intersection protocol is a small Boolean system of four vehicles; it
 ships as DSL source so the reachability backends can be compared on it.
@@ -17,9 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .dsl import SystemSpec, parse_system
 from .errors import DimensionError, SearchFailed
-from .gf2 import BitVec
-from .zonotope import (LogicalZonotope, contains, full_set, scalar_normalize,
-                       singleton)
+from .gf2 import BitMatrix, BitVec, gf2_solve
 
 
 @dataclass(frozen=True)
@@ -66,28 +66,25 @@ class CipherInstance:
         return len(self.message)
 
 
-def lfsr_keystream(spec: LfsrSpec, key: Sequence, l_m: int, *,
-                   post: Optional[Callable] = None) -> list:
-    """l_m keystream cells; works for int cells and scalar zonotope cells.
+def lfsr_keystream(spec: LfsrSpec, key: Sequence, l_m: int) -> list:
+    """l_m keystream cells; works for any XOR-able cells.
 
     Output is read from the current state, then feedback shifts in. All
-    arithmetic is XOR, so zonotope cells propagate without any
-    over-approximation. `post` (e.g. a generator cleanup) is applied to
-    every freshly computed cell.
+    arithmetic is XOR, so zonotope cells (or int cells that pack a center
+    bit and generator mask) propagate without any over-approximation.
     """
     if len(key) != spec.length:
         raise DimensionError(f"key has {len(key)} cells, spec wants {spec.length}")
-    fix = post if post is not None else (lambda c: c)
     # circular buffer, head = current register 1; shifting is O(1)
     n = spec.length
     buf = list(key)
     head = 0
     out = []
     for _ in range(l_m):
-        out.append(fix(functools.reduce(
-            lambda a, b: a ^ b, (buf[(head + t - 1) % n] for t in spec.output))))
-        fb = fix(functools.reduce(
-            lambda a, b: a ^ b, (buf[(head + t - 1) % n] for t in spec.feedback)))
+        out.append(functools.reduce(
+            lambda a, b: a ^ b, (buf[(head + t - 1) % n] for t in spec.output)))
+        fb = functools.reduce(
+            lambda a, b: a ^ b, (buf[(head + t - 1) % n] for t in spec.feedback))
         head = (head - 1) % n
         buf[head] = fb
     return out
@@ -102,49 +99,48 @@ def make_instance(spec: LfsrSpec, key_bits: Sequence, message: Sequence) -> Ciph
     return CipherInstance(tuple(message), encrypt(spec, key_bits, message))
 
 
-def _bit(b) -> LogicalZonotope:
-    return singleton(BitVec(1, b))
-
-
 def key_search(spec: LfsrSpec, inst: CipherInstance, *, seed_width: int = 2,
                on_comb: Optional[Callable] = None) -> tuple:
     """Recover the key for a message/ciphertext pair.
 
-    Seeds the first `seed_width` bits over all combinations, keeps the
-    remaining bits as {0,1} zonotopes, prunes combinations whose cipher
-    zonotopes fail to contain the observed ciphertext, then pins the free
-    bits one at a time: a bit stays 0 unless setting it to 0 pushes some
-    observed cipher bit outside its zonotope. A candidate key is accepted
-    only if re-encrypting the message reproduces the ciphertext exactly.
+    Seeds the first `seed_width` bits over all combinations and keeps the
+    remaining bits as shared generators: cell bit 0 is the center and bit
+    1 + j the generator of free key bit j. Cipher bit i is then the affine
+    form center_i ^ row_i . x over the free bits x, so the ciphertext lies
+    in the cipher zonotope exactly when row_i . x = center_i ^ message_i ^
+    cipher_i has a solution. One `gf2_solve` per combination either prunes
+    it (no solution, so no key with that seed exists) or returns the free
+    bits, with every bit the solve leaves free set to 0. A candidate key is
+    accepted only if re-encrypting the message reproduces the ciphertext
+    exactly.
     """
     if not 0 <= seed_width <= spec.length:
         raise ValueError(f"seed width {seed_width} out of range")
-    unknown = full_set(1)
-
-    def cipher_zonos(cells):
-        ks = lfsr_keystream(spec, cells, inst.l_m, post=scalar_normalize)
-        return [scalar_normalize(k ^ _bit(m)) for k, m in zip(ks, inst.message)]
-
-    def consistent(zonos):
-        return all(contains(z, BitVec(1, c)) for z, c in zip(zonos, inst.cipher))
+    free = spec.length - seed_width
+    generators = tuple(2 << j for j in range(free))
+    target = [m ^ c for m, c in zip(inst.message, inst.cipher)]
 
     for comb in range(1 << seed_width):
-        seed = [comb >> (seed_width - 1 - i) & 1 for i in range(seed_width)]
-        cells = [_bit(b) for b in seed] + [unknown] * (spec.length - seed_width)
-        pruned = not consistent(cipher_zonos(cells))
+        seed = tuple(comb >> (seed_width - 1 - i) & 1 for i in range(seed_width))
+        cells = lfsr_keystream(spec, seed + generators, inst.l_m)
+        rhs = 0
+        for i, (cell, t) in enumerate(zip(cells, target)):
+            rhs |= ((cell & 1) ^ t) << i
+        if free and inst.l_m:
+            rows = tuple(cell >> 1 for cell in cells)
+            x = gf2_solve(BitMatrix(inst.l_m, free, rows), BitVec(inst.l_m, rhs))
+            witness = None if x is None else x.word
+        else:                   # BitMatrix rejects zero dimensions
+            witness = None if rhs else 0
+        pruned = witness is None
         if on_comb is not None:
-            on_comb(tuple(seed), pruned)
+            on_comb(seed, pruned)
         if pruned:
             continue
-        for j in range(seed_width, spec.length):
-            cells[j] = _bit(0)
-            if not consistent(cipher_zonos(cells)):
-                cells[j] = _bit(1)
-        key = tuple(c.center.word for c in cells)
+        key = seed + tuple(witness >> j & 1 for j in range(free))
         if encrypt(spec, key, inst.message) == tuple(inst.cipher):
             return key
-    raise SearchFailed(
-        f"no {spec.length}-bit key found; instance may be under-determined")
+    raise SearchFailed(f"no {spec.length}-bit key reproduces the ciphertext")
 
 
 INTERSECTION_SOURCE = """\

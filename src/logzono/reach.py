@@ -34,8 +34,7 @@ from .dsl import SystemSpec, eval_point, eval_zonotope
 from .errors import CapacityError, UsageError
 from .explicit import ExplicitSet
 from .gf2 import BitVec
-from .zonotope import (LogicalZonotope, contains, enclose_points, evaluate,
-                       reduce)
+from .zonotope import LogicalZonotope, contains, enclose_points, reduce
 
 DEFAULT_STATE_BUDGET = 20          # max n_x for the explicit backend
 
@@ -141,11 +140,14 @@ def _reach_zonotope(sys: SystemSpec, n: int) -> ReachResult:
     return result
 
 
+def _scalar_values(z: LogicalZonotope) -> tuple:
+    """The bits a 1-bit zonotope takes, in `evaluate` order, without
+    enumerating: {0,1} if any generator is nonzero, else its center."""
+    return (0, 1) if any(g.word for g in z.generators) else (z.center.word,)
+
+
 def _zono_record(k, sys, state, dt) -> StepRecord:
-    var_sets = {}
-    for v in sys.state_vars:
-        ev = evaluate(state[v])
-        var_sets[v] = tuple(p.word for p in ev.points)
+    var_sets = {v: _scalar_values(state[v]) for v in sys.state_vars}
     size = sum(len(bits) for bits in var_sets.values())
     joint = math.prod(len(bits) for bits in var_sets.values())
     return StepRecord(k, var_sets, size, joint, dt, zonos=state)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -125,6 +126,75 @@ def test_seed_width_bounds():
     with pytest.raises(ValueError):
         key_search(SPEC4, inst, seed_width=5)
     assert key_search(SPEC4, inst, seed_width=0) == (1, 0, 0, 0)
+
+
+def _consistent_keys(spec, inst):
+    """Brute force: every key whose encryption of the message is the cipher."""
+    target = [m ^ c for m, c in zip(inst.message, inst.cipher)]
+    return [key for key in itertools.product((0, 1), repeat=spec.length)
+            if lfsr_keystream(spec, key, inst.l_m) == target]
+
+
+def test_key_search_matches_brute_force():
+    """SearchFailed exactly when no key re-encrypts; else a key that does,
+    and the true key whenever it is the only one."""
+    rng = random.Random(21)
+    seen = {"none": 0, "unique": 0, "several": 0}
+    for length in range(3, 11):
+        spec = scaled_spec(length)
+        for l_m in (0, length // 2, length, 4 * length):
+            for drawn in (False, True):
+                message = [rng.randint(0, 1) for _ in range(l_m)]
+                if drawn:
+                    cipher = tuple(rng.randint(0, 1) for _ in range(l_m))
+                    inst = CipherInstance(tuple(message), cipher)
+                else:
+                    key = tuple(rng.randint(0, 1) for _ in range(length))
+                    inst = make_instance(spec, key, message)
+                keys = _consistent_keys(spec, inst)
+                if not keys:
+                    seen["none"] += 1
+                    with pytest.raises(SearchFailed):
+                        key_search(spec, inst)
+                    continue
+                found = key_search(spec, inst)
+                assert encrypt(spec, found, inst.message) == inst.cipher
+                if len(keys) == 1:
+                    seen["unique"] += 1
+                    assert found == keys[0]
+                else:
+                    seen["several"] += 1
+    assert all(seen.values()), seen
+
+
+def test_full_rank_prunes_every_seed_but_the_true_one():
+    rng = random.Random(23)
+    spec = scaled_spec(8)
+    for seed_width in (1, 2, 3, 8):
+        for _ in range(4):
+            key = tuple(rng.randint(0, 1) for _ in range(8))
+            inst = make_instance(spec, key, [rng.randint(0, 1)
+                                             for _ in range(32)])
+            assert _consistent_keys(spec, inst) == [key]   # full rank
+            reported = []
+            found = key_search(spec, inst, seed_width=seed_width,
+                               on_comb=lambda seed, pruned:
+                               reported.append((seed, pruned)))
+            assert found == key
+            true_seed = key[:seed_width]
+            seeds = list(itertools.product((0, 1), repeat=seed_width))
+            tried = seeds[:seeds.index(true_seed) + 1]
+            assert reported == [(seed, seed != true_seed) for seed in tried]
+
+
+def test_seed_width_equal_to_key_length():
+    key = (0, 1, 1, 0)
+    inst = make_instance(SPEC4, key, [1, 0, 1, 1, 0, 0, 1, 0])
+    assert key_search(SPEC4, inst, seed_width=4) == key
+    assert key_search(SPEC4, CipherInstance((), ()), seed_width=4) == (0,) * 4
+    with pytest.raises(SearchFailed):
+        key_search(SPEC4, CipherInstance(tuple([0] * 16), tuple([1] * 16)),
+                   seed_width=4)
 
 
 def test_intersection_source_parses_and_round_trips():

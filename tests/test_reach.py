@@ -258,6 +258,17 @@ def test_zonotope_reach_matches_plain_step_loop():
     assert stopped > 0          # the fixed-point stop was exercised
 
 
+def test_zono_records_list_the_values_evaluate_gives():
+    rng = random.Random(1214)
+    for _ in range(150):
+        src = random_system_source(rng, rng.randint(1, 6),
+                                   rng.randint(0, 2), rng.randint(1, 3))
+        sys_ = parse_system(src)
+        for s in reach(sys_, rng.randint(0, 12), "zonotope").steps:
+            assert s.var_sets == {v: tuple(p.word for p in evaluate(z))
+                                  for v, z in s.zonos.items()}, src
+
+
 def test_intersection_zonotope_reach_stops_at_fixed_point():
     sys_ = intersection_system()
     rz = reach(sys_, 50, "zonotope")
