@@ -244,7 +244,7 @@ def cmd_set(args) -> int:
 def cmd_reduce(args) -> int:
     cfg = _config_from(args)
     z = _load_zonotope(args.zonotope)
-    r = reduce(z, cfg.gamma_cap)
+    r = reduce(z)
     obj = _zonotope_payload(r, args.evaluate, cfg.gamma_cap)
     obj["gamma_before"] = z.gamma
     obj["gamma_after"] = r.gamma

@@ -23,6 +23,16 @@ _BINARY_OPS = {
 }
 
 
+def _text_key(dim: int):
+    """Sort key on a word giving `BitVec.to_text()` order, built in C.
+
+    `format` writes bit dim-1 first; reversed, that is the text form (for
+    dim >= 1; a dim-0 set has at most one point).
+    """
+    fmt = f"0{dim}b"
+    return lambda w: format(w, fmt)[::-1]
+
+
 @dataclass(frozen=True)
 class ExplicitSet:
     """Deduplicated vectors in canonical (lexicographic bitstring) order."""
@@ -37,12 +47,13 @@ class ExplicitSet:
             if p.n != dim:
                 raise DimensionError(f"point of length {p.n} in a dim-{dim} set")
             uniq[p.word] = p
-        ordered = sorted(uniq.values(), key=lambda v: v.to_text())
-        return cls(dim, tuple(ordered))
+        return cls(dim, tuple(uniq[w] for w in sorted(uniq, key=_text_key(dim))))
 
     @classmethod
     def from_words(cls, dim: int, words: Iterable[int]) -> "ExplicitSet":
-        return cls.from_iterable(dim, (BitVec(dim, w) for w in set(words)))
+        mask = (1 << dim) - 1
+        ordered = sorted({w & mask for w in words}, key=_text_key(dim))
+        return cls(dim, tuple(BitVec(dim, w) for w in ordered))
 
     def words(self) -> frozenset:
         return frozenset(p.word for p in self.points)

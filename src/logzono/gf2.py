@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 from .errors import DimensionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitVec:
     """Fixed-length binary vector."""
 

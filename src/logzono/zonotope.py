@@ -1,10 +1,15 @@
 """Logical zonotopes over binary vectors.
 
 A logical zonotope <c, G> is the point set { c xor (xor_i g_i b_i) : b_i in
-{0,1} } for a center c and generators g_1..g_gamma. XOR, NOT and XNOR of two
-zonotopes are computed exactly; AND (and the operations derived from it) are
+{0,1} } for a center c and generators g_1..g_gamma, that is the affine
+subspace c xor span(G) of GF(2)^n. XOR, NOT and XNOR of two zonotopes are
+computed exactly; AND (and the operations derived from it) are
 over-approximated, meaning the result's point set contains the true
 pointwise set but may have surplus members.
+
+`reduce`, `evaluate` and `contains` work from one GF(2) echelon form of the
+generators (`_echelon`), so none of them enumerates the 2^gamma generator
+assignments; only `evaluate` lists points, 2^rank of them.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterable, Optional
 
 from .errors import CapacityError, DimensionError, EmptyInputError, UsageError
 from .explicit import ExplicitSet
-from .gf2 import BitVec, from_columns, gf2_solve, ones, zeros
+from .gf2 import BitVec, ones, zeros
 
 DEFAULT_GAMMA_CAP = 20
 _CAP_ENV = "LOGZONO_GAMMA_CAP"
@@ -102,16 +107,45 @@ def _check_dims(l1: LogicalZonotope, l2: LogicalZonotope):
         raise DimensionError(f"zonotope dims differ: {l1.dim} vs {l2.dim}")
 
 
+def _echelon(generators) -> tuple:
+    """Basis of span(generators) as (kept indices, pivots).
+
+    Walks the generators in reverse and reduces each word against `pivots`,
+    which maps a leading bit position (`int.bit_length`) to a reduced word;
+    a generator is kept when its remainder is nonzero, and the remainder
+    becomes the pivot for its leading bit. The kept indices are returned
+    in their original order: the generators that are not in the span of
+    the generators after them.
+    """
+    pivots = {}
+    kept = []
+    for i in range(len(generators) - 1, -1, -1):
+        w = generators[i].word
+        while w:
+            top = w.bit_length()
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = w
+                kept.append(i)
+                break
+            w ^= p
+    kept.reverse()
+    return kept, pivots
+
+
 def evaluate(l: LogicalZonotope, cap: Optional[int] = None) -> ExplicitSet:
-    """All points of the zonotope, enumerated over the 2^gamma assignments."""
+    """All points of the zonotope: the 2^rank sums of a generator basis.
+
+    Raises CapacityError when gamma (not the rank) exceeds the enumeration
+    cap.
+    """
     cap = effective_cap(cap)
     if l.gamma > cap:
         raise CapacityError(
             f"gamma={l.gamma} exceeds enumeration cap {cap} ({_CAP_ENV})")
-    words = {l.center.word}
-    for g in l.generators:
-        if g.word:
-            words |= {w ^ g.word for w in words}
+    words = [l.center.word]
+    for g in _echelon(l.generators)[1].values():
+        words += [w ^ g for w in words]
     return ExplicitSet.from_words(l.dim, words)
 
 
@@ -173,16 +207,20 @@ def mink_nor(l1: LogicalZonotope, l2: LogicalZonotope) -> LogicalZonotope:
 
 
 def contains(l: LogicalZonotope, x: BitVec) -> bool:
-    """Exact membership test via a GF(2) solve of G b = x xor c.
+    """Exact membership: x xor c reduces to zero against the echelon basis.
 
     Polynomial in gamma; never enumerates the 2^gamma assignments.
     """
     if x.n != l.dim:
         raise DimensionError(f"point length {x.n} does not match dim {l.dim}")
-    target = x ^ l.center
-    if l.gamma == 0:
-        return target.word == 0
-    return gf2_solve(from_columns(l.generators), target) is not None
+    pivots = _echelon(l.generators)[1]
+    w = x.word ^ l.center.word
+    while w:
+        p = pivots.get(w.bit_length())
+        if p is None:
+            return False
+        w ^= p
+    return True
 
 
 def enclose_points(points: Iterable[BitVec]) -> LogicalZonotope:
@@ -198,19 +236,13 @@ def enclose_points(points: Iterable[BitVec]) -> LogicalZonotope:
     return LogicalZonotope(c, tuple(p ^ c for p in points[1:]))
 
 
-def reduce(l: LogicalZonotope, cap: Optional[int] = None) -> LogicalZonotope:
-    """Drop generators whose removal keeps the evaluated point set equal.
+def reduce(l: LogicalZonotope) -> LogicalZonotope:
+    """Drop every generator that lies in the span of the generators after it.
 
-    Scans generators in index order; removals are cumulative. The center is
-    never changed, so the result evaluates to exactly the same set.
+    The kept generators are a basis of span(G) in their original order, and
+    the center is never changed, so the result evaluates to exactly the same
+    set. This is the set a greedy scan in index order keeps, where each
+    generator whose removal leaves the evaluated set equal is dropped.
     """
-    target = evaluate(l, cap).words()
-    kept = list(l.generators)
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1:]
-        if evaluate(LogicalZonotope(l.center, tuple(trial)), cap).words() == target:
-            kept = trial
-        else:
-            i += 1
-    return LogicalZonotope(l.center, tuple(kept))
+    kept, _ = _echelon(l.generators)
+    return LogicalZonotope(l.center, tuple(l.generators[i] for i in kept))

@@ -161,6 +161,18 @@ def test_reduce_drops_duplicate(tmp_path, capsys):
     assert sorted(d["points"]) == ["00", "01", "10", "11"]
 
 
+def test_reduce_gamma_cap_binds_only_on_evaluate(tmp_path, capsys):
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps(
+        {"dim": 2, "center": "00", "generators": ["10", "10", "01"]}))
+    assert run(["reduce", str(z), "--gamma-cap", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma_after"] == 2
+    assert run(["reduce", str(z), "--evaluate", "--gamma-cap", "2"]) == 0
+    capsys.readouterr()
+    assert run(["reduce", str(z), "--evaluate", "--gamma-cap", "1"]) == 1
+    assert "cap 1" in capsys.readouterr().err
+
+
 def test_contains_true_false(zono_files, capsys):
     a, b = zono_files
     assert run(["contains", a, "00"]) == 0

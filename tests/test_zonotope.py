@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from logzono.errors import (CapacityError, DimensionError, EmptyInputError,
                             UsageError)
 from logzono.explicit import ExplicitSet, oracle_not, oracle_op
-from logzono.gf2 import BitVec, ones, zeros
+from logzono.gf2 import BitMatrix, BitVec, ones, zeros
 from logzono.zonotope import (LogicalZonotope, contains, effective_cap,
                               enclose_points, evaluate, full_set, mink_and,
                               mink_nand, mink_nor, mink_not, mink_or,
@@ -277,3 +277,100 @@ def test_dimension_error_on_mixed_dims():
         mink_xor(Z("01"), Z("1"))
     with pytest.raises(DimensionError):
         LogicalZonotope(zeros(2), (zeros(3),))
+
+
+def _span_words(center, gens) -> frozenset:
+    """Point words of <center; gens> by doubling a set over every generator."""
+    words = {center.word}
+    for g in gens:
+        words |= {w ^ g.word for w in words}
+    return frozenset(words)
+
+
+def _greedy_reduce(l):
+    """The former `reduce`: scan in index order, drop a generator whenever
+    the point set without it (and without those already dropped) is equal."""
+    target = _span_words(l.center, l.generators)
+    kept = list(l.generators)
+    i = 0
+    while i < len(kept):
+        trial = kept[:i] + kept[i + 1:]
+        if _span_words(l.center, trial) == target:
+            kept = trial
+        else:
+            i += 1
+    return LogicalZonotope(l.center, tuple(kept))
+
+
+def _rand_zono_with_repeats(rng, n, gamma):
+    """Random generators, about a tenth zero and a third repeats of a few words."""
+    pool = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+    words = []
+    for _ in range(gamma):
+        r = rng.random()
+        words.append(0 if r < 0.1 else rng.choice(pool) if r < 0.4 else rng.getrandbits(n))
+    return LogicalZonotope(BitVec(n, rng.getrandbits(n)),
+                           tuple(BitVec(n, w) for w in words))
+
+
+def test_reduce_matches_greedy_scan():
+    rng = random.Random(31)
+    for _ in range(5000):
+        l = _rand_zono_with_repeats(rng, rng.randint(1, 8), rng.randint(0, 10))
+        assert reduce(l) == _greedy_reduce(l)
+
+
+def test_evaluate_lists_two_to_the_rank_points():
+    rng = random.Random(32)
+    for _ in range(500):
+        l = _rand_zono_with_repeats(rng, rng.randint(1, 8), rng.randint(0, 10))
+        ev = evaluate(l)
+        assert len(ev) == 2 ** reduce(l).gamma
+        assert ev.words() == _span_words(l.center, l.generators)
+
+
+def test_contains_matches_evaluate_on_every_point():
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        l = _rand_zono_with_repeats(rng, n, rng.randint(0, 8))
+        members = evaluate(l).words()
+        for w in range(1 << n):
+            assert contains(l, BitVec(n, w)) == (w in members)
+
+
+def test_reduce_and_contains_at_n64_gamma40():
+    rng = random.Random(34)
+    low = (1 << 63) - 1
+    l = LogicalZonotope(BitVec(64, rng.getrandbits(63)),
+                        tuple(BitVec(64, rng.getrandbits(64) & low) for _ in range(40)))
+    r = reduce(l)
+    assert r.center == l.center and r.gamma <= 40
+    for _ in range(50):
+        x = l.center
+        for g in l.generators:
+            if rng.getrandbits(1):
+                x = x ^ g
+        assert contains(l, x) and contains(r, x)
+    # bit 64 is zero in the center and in every generator
+    assert not contains(l, BitVec(64, 1 << 63))
+
+
+def test_dim_zero_zonotope():
+    eps = BitVec(0, 0)
+    l = LogicalZonotope(eps, (eps,))
+    assert contains(l, eps)
+    assert evaluate(l) == ExplicitSet.from_iterable(0, [eps])
+    assert reduce(l) == LogicalZonotope(eps, ())
+    with pytest.raises(DimensionError):
+        BitMatrix.from_rows([])
+
+
+def test_explicit_set_order_is_text_order():
+    rng = random.Random(35)
+    for dim in range(1, 11):
+        words = [rng.getrandbits(dim) for _ in range(rng.randint(1, 40))]
+        s = ExplicitSet.from_words(dim, words)
+        texts = sorted({BitVec(dim, w).to_text() for w in words})
+        assert [p.to_text() for p in s] == texts
+        assert ExplicitSet.from_iterable(dim, [BitVec(dim, w) for w in words]) == s
