@@ -5,7 +5,8 @@ pair. The unknown key bits are the generators of one logical zonotope:
 each keystream cell is a center bit plus a mask over those shared
 generators, and the keystream is XOR-only, so propagation is exact. The
 ciphertext lies in the resulting zonotope exactly when some key produces
-it, and the GF(2) solve that tests this containment returns that key.
+it, and the GF(2) solve that tests this containment (`gf2.solve_words`,
+on rows packed straight from the cells) returns that key.
 
 The intersection protocol is a small Boolean system of four vehicles; it
 ships as DSL source so the reachability backends can be compared on it.
@@ -19,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from .dsl import SystemSpec, parse_system
 from .errors import DimensionError, SearchFailed
-from .gf2 import BitMatrix, BitVec, gf2_solve
+from .gf2 import solve_words
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,12 @@ def key_search(spec: LfsrSpec, inst: CipherInstance, *, seed_width: int = 2,
     1 + j the generator of free key bit j. Cipher bit i is then the affine
     form center_i ^ row_i . x over the free bits x, so the ciphertext lies
     in the cipher zonotope exactly when row_i . x = center_i ^ message_i ^
-    cipher_i has a solution. One `gf2_solve` per combination either prunes
-    it (no solution, so no key with that seed exists) or returns the free
-    bits, with every bit the solve leaves free set to 0. A candidate key is
-    accepted only if re-encrypting the message reproduces the ciphertext
-    exactly.
+    cipher_i has a solution. Each cell packs straight into a row of that
+    system, `row_i | rhs_i << free`, and one `gf2.solve_words` per
+    combination either prunes it (no solution, so no key with that seed
+    exists) or returns the free bits, with every bit the solve leaves free
+    set to 0. A candidate key is accepted only if re-encrypting the message
+    reproduces the ciphertext exactly.
     """
     if not 0 <= seed_width <= spec.length:
         raise ValueError(f"seed width {seed_width} out of range")
@@ -123,15 +125,8 @@ def key_search(spec: LfsrSpec, inst: CipherInstance, *, seed_width: int = 2,
     for comb in range(1 << seed_width):
         seed = tuple(comb >> (seed_width - 1 - i) & 1 for i in range(seed_width))
         cells = lfsr_keystream(spec, seed + generators, inst.l_m)
-        rhs = 0
-        for i, (cell, t) in enumerate(zip(cells, target)):
-            rhs |= ((cell & 1) ^ t) << i
-        if free and inst.l_m:
-            rows = tuple(cell >> 1 for cell in cells)
-            x = gf2_solve(BitMatrix(inst.l_m, free, rows), BitVec(inst.l_m, rhs))
-            witness = None if x is None else x.word
-        else:                   # BitMatrix rejects zero dimensions
-            witness = None if rhs else 0
+        witness = solve_words([(cell >> 1) | ((cell & 1) ^ t) << free
+                               for cell, t in zip(cells, target)], free)
         pruned = witness is None
         if on_comb is not None:
             on_comb(seed, pruned)

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: reach, lfsr, set, reduce, contains, bench. Exit codes are
-part of the interface: 0 success, 1 input or configuration problem,
-2 internal soundness violation (the zonotope backend lost an exact
-state, which is a bug), 3 key search failure.
+part of the interface: 0 success (also for --help), 1 input, usage or
+configuration problem, 2 internal soundness violation (the zonotope
+backend lost an exact state, which is a bug), 3 key search failure.
 """
 
 from __future__ import annotations
@@ -324,17 +324,29 @@ def cmd_bench(args) -> int:
 
 # --------------------------------------------------------------- parser
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as UsageError: argparse's own exit code 2 is
+    EXIT_SOUNDNESS here. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _add_common(p, default_out="text"):
     p.add_argument("--out", choices=["json", "csv", "text"],
                    default=default_out)
     p.add_argument("--golden", metavar="FILE",
                    help="also write canonical JSON to FILE")
+
+
+def _add_gamma_cap(p):
     p.add_argument("--gamma-cap", type=int, default=None,
                    help="override the point-enumeration cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="logzono",
         description="logical-zonotope sets and Boolean-system reachability")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -364,11 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evaluate", action="store_true",
                    help="also list the explicit points")
     _add_common(p, default_out="json")
+    _add_gamma_cap(p)
 
     p = sub.add_parser("reduce", help="drop redundant generators")
     p.add_argument("zonotope")
     p.add_argument("--evaluate", action="store_true")
     _add_common(p, default_out="json")
+    _add_gamma_cap(p)
 
     p = sub.add_parser("contains", help="membership test for a bitstring")
     p.add_argument("zonotope")
@@ -393,8 +407,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.cmd](args)
     except SearchFailed as e:
         print(f"error: {e}", file=sys.stderr)

@@ -4,6 +4,12 @@ Vectors and matrices are stored as plain Python ints (one int per vector,
 one int per matrix row), so the elementwise logical operations are single
 machine-word operations for the dimensions this package cares about.
 
+`echelon` is the package's one GF(2) elimination, over plain ints. The
+zonotope's `reduce`, `evaluate` and `contains`, `solve_words` (and
+`gf2_solve`, which packs a `BitMatrix` system for it) and the LFSR key
+search are all built on it. Eliminating on rows packed into machine words
+follows M4RI (Albrecht and Bard).
+
 Indexing follows the 1-based convention used throughout: the leftmost
 character of the text form "101" is index 1. Internally index i lives at
 int bit (i - 1); that layout is not part of the contract.
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError
 
@@ -90,34 +96,6 @@ def zeros(n: int) -> BitVec:
 
 def ones(n: int) -> BitVec:
     return BitVec(n, (1 << n) - 1)
-
-
-def xor(a: BitVec, b: BitVec) -> BitVec:
-    return a ^ b
-
-
-def and_(a: BitVec, b: BitVec) -> BitVec:
-    return a & b
-
-
-def or_(a: BitVec, b: BitVec) -> BitVec:
-    return a | b
-
-
-def not_(a: BitVec) -> BitVec:
-    return ~a
-
-
-def nand(a: BitVec, b: BitVec) -> BitVec:
-    return ~(a & b)
-
-
-def nor(a: BitVec, b: BitVec) -> BitVec:
-    return ~(a | b)
-
-
-def xnor(a: BitVec, b: BitVec) -> BitVec:
-    return ~(a ^ b)
 
 
 @dataclass(frozen=True)
@@ -258,37 +236,65 @@ def stp(m: BitMatrix, n: BitMatrix) -> BitMatrix:
     return gf2_matmul(left, right)
 
 
+def echelon(words: Sequence[int]) -> tuple:
+    """Echelon basis of span(words) over GF(2) as (kept indices, pivots).
+
+    The package's only elimination. Walks the words in reverse and reduces
+    each against `pivots`, a dict from a lowest set bit (`w & -w`) to the
+    reduced word that owns it; a word is kept when its remainder is
+    nonzero, and the remainder becomes the pivot for its lowest bit. The
+    kept indices come back in their original order: the words that are not
+    in the span of the words after them. The pivot keys are the pivot
+    columns of the reduced row-echelon form, whatever the order of
+    elimination.
+    """
+    pivots = {}
+    kept = []
+    for i in range(len(words) - 1, -1, -1):
+        w = words[i]
+        while w:
+            low = w & -w
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = w
+                kept.append(i)
+                break
+            w ^= p
+    kept.reverse()
+    return kept, pivots
+
+
+def solve_words(rows: Sequence[int], cols: int) -> Optional[int]:
+    """One solution x of a packed GF(2) system, or None.
+
+    Row i holds the coefficients of equation i in bits 0..cols-1 and its
+    right-hand side at bit `cols`. The system has no solution exactly when
+    that bit becomes a pivot of `echelon`. Otherwise x comes from
+    back-substitution, highest pivot first, with every free bit 0; zero
+    rows or zero columns need no special case.
+    """
+    pivots = echelon(rows)[1]
+    if 1 << cols in pivots:
+        return None
+    x = 0
+    for low in sorted(pivots, reverse=True):
+        w = pivots[low]
+        if ((w & x).bit_count() + (w >> cols)) & 1:
+            x |= low
+    return x
+
+
 def gf2_solve(a: BitMatrix, b: BitVec) -> Optional[BitVec]:
     """One solution of A x = b over GF(2), or None.
 
-    Deterministic: pivots are chosen at the lowest free column index and
-    free variables are set to 0, so the witness is stable across runs.
+    Packs row i as `a.row_words[i] | b_i << a.cols` for `solve_words`.
+    Deterministic: the pivots are the lowest columns any echelon form
+    attains and free variables are 0, so the witness does not depend on
+    the order of elimination.
     """
     if a.rows != b.n:
         raise DimensionError(f"rhs length {b.n} does not match rows {a.rows}")
-    rows = [(a.row_words[i], b.word >> i & 1) for i in range(a.rows)]
-    pivots = []
-    r = 0
-    for c in range(a.cols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][0] >> c & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pw, pb = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][0] >> c & 1:
-                rows[i] = (rows[i][0] ^ pw, rows[i][1] ^ pb)
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][0] == 0 and rows[i][1]:
-            return None
-    x = 0
-    for ri, ci in pivots:
-        if rows[ri][1]:
-            x |= 1 << ci
-    return BitVec(a.cols, x)
+    cols = a.cols
+    x = solve_words([w | (b.word >> i & 1) << cols
+                     for i, w in enumerate(a.row_words)], cols)
+    return None if x is None else BitVec(cols, x)

@@ -7,9 +7,10 @@ computed exactly; AND (and the operations derived from it) are
 over-approximated, meaning the result's point set contains the true
 pointwise set but may have surplus members.
 
-`reduce`, `evaluate` and `contains` work from one GF(2) echelon form of the
-generators (`_echelon`), so none of them enumerates the 2^gamma generator
-assignments; only `evaluate` lists points, 2^rank of them.
+`reduce`, `evaluate` and `contains` each take one GF(2) echelon form of the
+generator words from `gf2.echelon`, the package's only elimination, so none
+of them enumerates the 2^gamma generator assignments; only `evaluate` lists
+points, 2^rank of them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Optional
 
 from .errors import CapacityError, DimensionError, EmptyInputError, UsageError
 from .explicit import ExplicitSet
-from .gf2 import BitVec, ones, zeros
+from .gf2 import BitVec, echelon, ones, zeros
 
 DEFAULT_GAMMA_CAP = 20
 _CAP_ENV = "LOGZONO_GAMMA_CAP"
@@ -107,32 +108,6 @@ def _check_dims(l1: LogicalZonotope, l2: LogicalZonotope):
         raise DimensionError(f"zonotope dims differ: {l1.dim} vs {l2.dim}")
 
 
-def _echelon(generators) -> tuple:
-    """Basis of span(generators) as (kept indices, pivots).
-
-    Walks the generators in reverse and reduces each word against `pivots`,
-    which maps a leading bit position (`int.bit_length`) to a reduced word;
-    a generator is kept when its remainder is nonzero, and the remainder
-    becomes the pivot for its leading bit. The kept indices are returned
-    in their original order: the generators that are not in the span of
-    the generators after them.
-    """
-    pivots = {}
-    kept = []
-    for i in range(len(generators) - 1, -1, -1):
-        w = generators[i].word
-        while w:
-            top = w.bit_length()
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = w
-                kept.append(i)
-                break
-            w ^= p
-    kept.reverse()
-    return kept, pivots
-
-
 def evaluate(l: LogicalZonotope, cap: Optional[int] = None) -> ExplicitSet:
     """All points of the zonotope: the 2^rank sums of a generator basis.
 
@@ -144,8 +119,8 @@ def evaluate(l: LogicalZonotope, cap: Optional[int] = None) -> ExplicitSet:
         raise CapacityError(
             f"gamma={l.gamma} exceeds enumeration cap {cap} ({_CAP_ENV})")
     words = [l.center.word]
-    for g in _echelon(l.generators)[1].values():
-        words += [w ^ g for w in words]
+    for p in echelon([g.word for g in l.generators])[1].values():
+        words += [w ^ p for w in words]
     return ExplicitSet.from_words(l.dim, words)
 
 
@@ -207,20 +182,16 @@ def mink_nor(l1: LogicalZonotope, l2: LogicalZonotope) -> LogicalZonotope:
 
 
 def contains(l: LogicalZonotope, x: BitVec) -> bool:
-    """Exact membership: x xor c reduces to zero against the echelon basis.
+    """Exact membership: x xor c lies in the span of the generators.
 
+    `echelon` walks its words in reverse, so with x xor c first it keeps
+    index 0 exactly when x xor c is not in the span of the generators.
     Polynomial in gamma; never enumerates the 2^gamma assignments.
     """
     if x.n != l.dim:
         raise DimensionError(f"point length {x.n} does not match dim {l.dim}")
-    pivots = _echelon(l.generators)[1]
-    w = x.word ^ l.center.word
-    while w:
-        p = pivots.get(w.bit_length())
-        if p is None:
-            return False
-        w ^= p
-    return True
+    kept = echelon([x.word ^ l.center.word] + [g.word for g in l.generators])[0]
+    return kept[:1] != [0]
 
 
 def enclose_points(points: Iterable[BitVec]) -> LogicalZonotope:
@@ -244,5 +215,5 @@ def reduce(l: LogicalZonotope) -> LogicalZonotope:
     set. This is the set a greedy scan in index order keeps, where each
     generator whose removal leaves the evaluated set equal is dropped.
     """
-    kept, _ = _echelon(l.generators)
+    kept = echelon([g.word for g in l.generators])[0]
     return LogicalZonotope(l.center, tuple(l.generators[i] for i in kept))

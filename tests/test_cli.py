@@ -198,8 +198,35 @@ def test_golden_writes_canonical_json(system_file, tmp_path, capsys):
     assert text == json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
-def test_gamma_cap_validation(system_file, capsys):
-    assert run(["reach", system_file, "--gamma-cap", "-1"]) == 1
+def test_gamma_cap_validation(zono_files, capsys):
+    a, _ = zono_files
+    assert run(["set", "not", a, "--gamma-cap", "-1"]) == 1
+    assert run(["reduce", a, "--gamma-cap", "-1"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reach", "SYSTEM", "--bogus"],
+    ["reach", "SYSTEM", "--horizon", "x"],
+    ["reach", "SYSTEM", "--gamma-cap", "1"],
+    ["lfsr", "--gamma-cap", "1"],
+    ["contains", "SYSTEM", "0", "--gamma-cap", "1"],
+    ["bench", "lfsr", "--gamma-cap", "1"],
+    ["frobnicate"],
+])
+def test_usage_errors_are_input_errors(system_file, capsys, argv):
+    """argparse exits 2 on its own, which would read as EXIT_SOUNDNESS."""
+    argv = [system_file if a == "SYSTEM" else a for a in argv]
+    assert run(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: logzono") and "error: " in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["reach", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+    assert "--gamma-cap" not in capsys.readouterr().out
 
 
 def test_gamma_cap_flag_does_not_leak(zono_files, monkeypatch, capsys):

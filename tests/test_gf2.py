@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logzono.errors import DimensionError
-from logzono.gf2 import (BitMatrix, BitVec, and_, gf2_matmul, gf2_matvec,
-                         gf2_solve, identity, kron, nand, nor, not_, ones,
-                         or_, stp, xnor, xor, zeros)
+from logzono.gf2 import (BitMatrix, BitVec, gf2_matmul, gf2_matvec,
+                         gf2_solve, identity, kron, ones, solve_words, stp,
+                         zeros)
 
 
 def naive_matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -29,28 +29,28 @@ def rand_matrix(rng, rows, cols):
 
 
 def test_xor_truth_table():
-    assert xor(BitVec.from_text("01"), BitVec.from_text("11")) == BitVec.from_text("10")
-    assert xor(BitVec.from_text("00"), BitVec.from_text("10")) == BitVec.from_text("10")
+    assert BitVec.from_text("01") ^ BitVec.from_text("11") == BitVec.from_text("10")
+    assert BitVec.from_text("00") ^ BitVec.from_text("10") == BitVec.from_text("10")
 
 
 def test_xor_self_inverse():
     v = BitVec.from_text("10110")
-    assert xor(v, v) == zeros(5)
+    assert v ^ v == zeros(5)
 
 
 def test_elementwise_ops():
     a, b = BitVec.from_text("11"), BitVec.from_text("10")
-    assert and_(a, b) == BitVec.from_text("10")
-    assert not_(BitVec.from_text("01")) == BitVec.from_text("10")
-    assert or_(a, b) == BitVec.from_text("11")
-    assert nand(a, b) == BitVec.from_text("01")
-    assert nor(a, b) == BitVec.from_text("00")
-    assert xnor(a, a) == ones(2)
+    assert a & b == BitVec.from_text("10")
+    assert ~BitVec.from_text("01") == BitVec.from_text("10")
+    assert a | b == BitVec.from_text("11")
+    assert ~(a & b) == BitVec.from_text("01")
+    assert ~(a | b) == BitVec.from_text("00")
+    assert ~(a ^ a) == ones(2)
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionError):
-        xor(BitVec(2), BitVec(3))
+        BitVec(2) ^ BitVec(3)
 
 
 def test_text_round_trip():
@@ -72,8 +72,8 @@ def test_xor_assoc_comm(n, data):
     a = BitVec(n, data.draw(st.integers(0, (1 << n) - 1)))
     b = BitVec(n, data.draw(st.integers(0, (1 << n) - 1)))
     c = BitVec(n, data.draw(st.integers(0, (1 << n) - 1)))
-    assert xor(a, b) == xor(b, a)
-    assert xor(xor(a, b), c) == xor(a, xor(b, c))
+    assert a ^ b == b ^ a
+    assert (a ^ b) ^ c == a ^ (b ^ c)
 
 
 def test_matmul_identity():
@@ -183,3 +183,69 @@ def test_solve_is_deterministic():
     b = BitVec.from_text("10")
     # two solutions exist ([1,0] and [0,1]); lowest-column pivoting picks x1
     assert gf2_solve(a, b) == BitVec.from_text("10")
+
+
+def tuple_solve(a: BitMatrix, b: BitVec):
+    """The former gf2_solve: Gauss-Jordan on (word, rhs) tuples, pivot at
+    the lowest column, free variables 0. The oracle for the packed solve."""
+    rows = [(a.row_words[i], b.word >> i & 1) for i in range(a.rows)]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        sel = None
+        for i in range(r, len(rows)):
+            if rows[i][0] >> c & 1:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pw, pb = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][0] >> c & 1:
+                rows[i] = (rows[i][0] ^ pw, rows[i][1] ^ pb)
+        pivots.append((r, c))
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][0] == 0 and rows[i][1]:
+            return None
+    x = 0
+    for ri, ci in pivots:
+        if rows[ri][1]:
+            x |= 1 << ci
+    return BitVec(a.cols, x)
+
+
+def test_solve_matches_tuple_elimination():
+    """Same witness (not only the same solvability) as the old elimination
+    on tall, wide, 1x1 and rank-deficient systems with all-zero rows."""
+    rng = random.Random(17)
+    shapes = ([(1, 1)] * 500
+              + [(rng.randint(5, 14), rng.randint(1, 5)) for _ in range(1500)]
+              + [(rng.randint(1, 5), rng.randint(5, 14)) for _ in range(1500)]
+              + [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(1500)])
+    solvable = 0
+    for rows, cols in shapes:
+        words = [rng.getrandbits(cols) for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+            words[i] = 0
+        if rng.random() < 0.3:      # repeated rows lower the rank
+            words = [rng.choice(words) for _ in words]
+        a = BitMatrix(rows, cols, tuple(words))
+        if rng.random() < 0.5:      # a consistent right-hand side
+            b = gf2_matvec(a, BitVec(cols, rng.getrandbits(cols)))
+        else:
+            b = BitVec(rows, rng.getrandbits(rows))
+        want = tuple_solve(a, b)
+        assert gf2_solve(a, b) == want, (a, b)
+        solvable += want is not None
+    assert 0.3 * len(shapes) < solvable < 0.9 * len(shapes)
+
+
+def test_solve_words_zero_dimensions():
+    assert solve_words([], 0) == 0
+    assert solve_words([], 5) == 0
+    assert solve_words([0, 0], 0) == 0
+    assert solve_words([0, 1], 0) is None           # 0 = 1
+    assert solve_words([0b100], 2) is None          # 0.x = 1
+    assert solve_words([0b111, 0b010], 2) == 0b01   # x1 ^ x2 = 1, x2 = 0
