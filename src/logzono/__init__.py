@@ -14,8 +14,8 @@ from .errors import (CapacityError, CyclicReferenceError, DimensionError,
                      DslSyntaxError, DuplicateRuleError, EmptyInputError,
                      EvalError, LogzonoError, ParseError, SearchFailed,
                      UnknownIdentifierError, UsageError)
-from .gf2 import (BitMatrix, BitVec, from_column, from_columns, gf2_matmul,
-                  gf2_matvec, gf2_solve, identity, kron, ones, stp, zeros)
+from .gf2 import (BitMatrix, BitVec, from_columns, gf2_matmul, gf2_matvec,
+                  gf2_solve, identity, kron, ones, stp, zeros)
 from .explicit import ExplicitSet, oracle_not, oracle_op
 from .zonotope import (DEFAULT_GAMMA_CAP, LogicalZonotope, contains,
                        effective_cap, enclose_points, evaluate, full_set,
@@ -42,7 +42,7 @@ __all__ = [
     "SystemSpec", "UnknownIdentifierError", "UsageError",
     "check_containment", "contains", "effective_cap", "enclose_points",
     "encrypt", "eval_point", "eval_zonotope", "evaluate",
-    "evaluate_matrix", "exact_reach", "from_column", "from_columns",
+    "evaluate_matrix", "exact_reach", "from_columns",
     "full_set", "gf2_matmul", "gf2_matvec", "gf2_solve", "identity",
     "intersection_system", "key_search", "kron", "lfsr_keystream",
     "make_instance", "mink_and", "mink_nand", "mink_nor", "mink_not",

@@ -15,70 +15,34 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
-from . import casestudies
-from .dsl import parse_system
+from . import casestudies, zonotope
+from .dsl import Binary, parse_system
 from .errors import LogzonoError, ParseError, SearchFailed, UsageError
-from .reach import check_containment, reach as run_reach
+from .reach import DEFAULT_STATE_BUDGET, check_containment, reach as run_reach
 from .gf2 import BitVec
-from .zonotope import (LogicalZonotope, contains, evaluate, mink_and,
-                       mink_nand, mink_nor, mink_not, mink_or, mink_xnor,
-                       mink_xor, reduce)
+from .zonotope import LogicalZonotope, contains, evaluate, reduce
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOUNDNESS = 2
 EXIT_SEARCH = 3
 
-_BINARY_SET_OPS = {
-    "xor": mink_xor, "xnor": mink_xnor, "and": mink_and,
-    "nand": mink_nand, "or": mink_or, "nor": mink_nor,
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    out: str = "text"
-    gamma_cap: Optional[int] = None
-    state_budget: int = 20
-    seed: int = 0
-    golden: Optional[str] = None
-
-    def __post_init__(self):
-        if self.gamma_cap is not None and self.gamma_cap <= 0:
-            raise UsageError("gamma cap must be positive")
-        if self.state_budget <= 0:
-            raise UsageError("state budget must be positive")
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.cmd,
-        out=getattr(args, "out", "text"),
-        gamma_cap=getattr(args, "gamma_cap", None),
-        state_budget=getattr(args, "state_budget", 20),
-        seed=getattr(args, "seed", 0),
-        golden=getattr(args, "golden", None),
-    )
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(cfg: RunConfig, obj, text_lines, csv_rows=None, csv_header=None):
-    """Render one result in the selected format; honor --golden."""
-    if cfg.golden:
-        with open(cfg.golden, "w") as fh:
+def _emit(args, obj, text_lines, csv_rows=None, csv_header=None):
+    """Render one result in the selected --out format; honor --golden."""
+    if args.golden:
+        with open(args.golden, "w") as fh:
             fh.write(_canonical_json(obj))
-    if cfg.out == "json":
+    if args.out == "json":
         print(_canonical_json(obj), end="")
-    elif cfg.out == "csv":
+    elif args.out == "csv":
         if csv_rows is None:
-            raise UsageError(f"{cfg.subcommand} has no CSV form")
+            raise UsageError(f"{args.cmd} has no CSV form")
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(csv_header)
@@ -107,11 +71,10 @@ def _backend_list(name: str):
 
 
 def cmd_reach(args) -> int:
-    cfg = _config_from(args)
     with open(args.system) as fh:
         sys_ = parse_system(fh.read())
     horizon = args.horizon if args.horizon is not None else sys_.horizon
-    results = {b: run_reach(sys_, horizon, b, state_budget=cfg.state_budget)
+    results = {b: run_reach(sys_, horizon, b, state_budget=args.state_budget)
                for b in _backend_list(args.backend)}
 
     obj = {b: r.to_json_dict() for b, r in results.items()}
@@ -138,7 +101,7 @@ def cmd_reach(args) -> int:
             for v in rep.violations[:10]:
                 lines.append(f"  lost state at k={v[0]}: {v[1]} ({v[2]})")
             code = EXIT_SOUNDNESS
-    _emit(cfg, obj, lines, csv_rows,
+    _emit(args, obj, lines, csv_rows,
           ["k", "backend", "time_s", "size", "joint_count"])
     return code
 
@@ -171,23 +134,6 @@ def _search_once(spec, inst):
 
 
 def cmd_lfsr(args) -> int:
-    cfg = _config_from(args)
-    rng = random.Random(cfg.seed)
-
-    if args.sweep:
-        rows = []
-        for length in (int(x) for x in args.sweep.split(",")):
-            spec = casestudies.scaled_spec(length)
-            _, inst = _random_instance(spec, 4 * length, rng)
-            _, verified, dt = _search_once(spec, inst)
-            rows.append([length, f"{dt:.4f}", str(verified).lower()])
-        obj = {"sweep": [{"length": int(r[0]), "time_s": float(r[1]),
-                          "verified": r[2] == "true"} for r in rows]}
-        _emit(cfg, obj, [f"l_k={r[0]}  {r[1]}s  verified={r[2]}"
-                         for r in rows],
-              rows, ["length", "time_s", "verified"])
-        return EXIT_OK
-
     spec = _spec_from_args(args)
     if args.instance:
         d = _load_json(args.instance)
@@ -196,7 +142,7 @@ def cmd_lfsr(args) -> int:
                                           tuple(d["cipher"]))
     else:
         l_m = args.message_len if args.message_len else 4 * spec.length
-        _, inst = _random_instance(spec, l_m, rng)
+        _, inst = _random_instance(spec, l_m, random.Random(args.seed))
     if inst.l_m < spec.length:
         print(f"warning: message ({inst.l_m} bits) shorter than key "
               f"({spec.length} bits); instance may be under-determined",
@@ -206,7 +152,7 @@ def cmd_lfsr(args) -> int:
     key_text = "".join(str(b) for b in key)
     obj = {"spec": spec.to_json_dict(), "key": key_text,
            "verified": verified, "time_s": round(dt, 6)}
-    _emit(cfg, obj,
+    _emit(args, obj,
           [f"key {key_text}", f"verified {str(verified).lower()}",
            f"time {dt:.4f}s"],
           [[spec.length, f"{dt:.4f}", str(verified).lower()]],
@@ -225,48 +171,45 @@ def _zonotope_payload(z: LogicalZonotope, with_points: bool,
 
 
 def cmd_set(args) -> int:
-    cfg = _config_from(args)
     a = _load_zonotope(args.a)
+    mink = getattr(zonotope, "mink_" + args.op)
     if args.op == "not":
         if args.b is not None:
             raise UsageError("'not' takes a single zonotope")
-        result = mink_not(a)
+        result = mink(a)
     else:
         if args.b is None:
             raise UsageError(f"'{args.op}' needs two zonotopes")
-        result = _BINARY_SET_OPS[args.op](a, _load_zonotope(args.b))
-    obj = _zonotope_payload(result, args.evaluate, cfg.gamma_cap)
+        result = mink(a, _load_zonotope(args.b))
+    obj = _zonotope_payload(result, args.evaluate, args.gamma_cap)
     lines = [_canonical_json(obj).rstrip("\n")]
-    _emit(cfg, obj, lines)
+    _emit(args, obj, lines)
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    cfg = _config_from(args)
     z = _load_zonotope(args.zonotope)
     r = reduce(z)
-    obj = _zonotope_payload(r, args.evaluate, cfg.gamma_cap)
+    obj = _zonotope_payload(r, args.evaluate, args.gamma_cap)
     obj["gamma_before"] = z.gamma
     obj["gamma_after"] = r.gamma
-    _emit(cfg, obj, [_canonical_json(obj).rstrip("\n")])
+    _emit(args, obj, [_canonical_json(obj).rstrip("\n")])
     return EXIT_OK
 
 
 def cmd_contains(args) -> int:
-    cfg = _config_from(args)
     z = _load_zonotope(args.zonotope)
     x = BitVec.from_text(args.point)
     verdict = contains(z, x)
     obj = {"zonotope": z.to_json_dict(), "point": args.point,
            "contains": verdict}
-    _emit(cfg, obj, ["true" if verdict else "false"])
+    _emit(args, obj, ["true" if verdict else "false"])
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- bench
 
 def cmd_bench(args) -> int:
-    cfg = _config_from(args)
     if args.target == "intersection":
         sys_ = casestudies.intersection_system()
         rows = []
@@ -278,7 +221,7 @@ def cmd_bench(args) -> int:
                              last.joint_count])
         obj = {"rows": [{"N": r[0], "backend": r[1], "time_s": float(r[2]),
                          "size": r[3], "joint_count": r[4]} for r in rows]}
-        _emit(cfg, obj,
+        _emit(args, obj,
               [f"N={r[0]:<5d} {r[1]:<9s} {r[2]}s size={r[3]} "
                f"joint={r[4]}" for r in rows],
               rows, ["N", "backend", "time_s", "size", "joint_count"])
@@ -286,7 +229,7 @@ def cmd_bench(args) -> int:
 
     # lfsr: zonotope search vs exhaustive enumeration; exhaustive timing
     # is measured up to 20 bits and extrapolated from per-key cost above
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     rows = []
     for length in (int(x) for x in args.lengths.split(",")):
         spec = casestudies.scaled_spec(length)
@@ -314,7 +257,7 @@ def cmd_bench(args) -> int:
     obj = {"rows": [{"length": r[0], "search_time_s": float(r[1]),
                      "exhaustive_time_s": float(r[2]), "exhaustive": r[3]}
                     for r in rows]}
-    _emit(cfg, obj,
+    _emit(args, obj,
           [f"l_k={r[0]:<4d} search {r[1]}s  exhaustive {r[2]}s ({r[3]})"
            for r in rows],
           rows, ["length", "search_time_s", "exhaustive_time_s",
@@ -340,8 +283,18 @@ def _add_common(p, default_out="text"):
                    help="also write canonical JSON to FILE")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_gamma_cap(p):
-    p.add_argument("--gamma-cap", type=int, default=None,
+    p.add_argument("--gamma-cap", type=_positive_int, default=None,
                    help="override the point-enumeration cap")
 
 
@@ -356,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--backend", choices=["zono", "exact", "both"],
                    default="zono")
-    p.add_argument("--state-budget", type=int, default=20)
+    p.add_argument("--state-budget", type=_positive_int,
+                   default=DEFAULT_STATE_BUDGET)
     _add_common(p)
 
     p = sub.add_parser("lfsr", help="stream-cipher key search")
@@ -366,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--message-len", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instance", help="JSON file with spec/message/cipher")
-    p.add_argument("--sweep", help="comma list of key lengths to time")
     _add_common(p)
 
     p = sub.add_parser("set", help="Minkowski operation on zonotope files")
-    p.add_argument("op", choices=sorted(_BINARY_SET_OPS) + ["not"])
+    p.add_argument("op", choices=sorted(node.op for node in Binary.__subclasses__())
+                   + ["not"])
     p.add_argument("a")
     p.add_argument("b", nargs="?")
     p.add_argument("--evaluate", action="store_true",

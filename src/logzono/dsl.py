@@ -17,14 +17,22 @@ variable. Primed variables may also appear inside later rules (c1' above
 uses p1'), which is resolved by evaluating rules in declaration order; a
 primed reference to a rule that has not been defined yet is rejected.
 Operator precedence, tightest first: ! then & (and nand) then ^ (and xnor)
-then | (and nor). '#' starts a line comment.
+then | (and nor); binary operators associate to the left. '#' starts a
+line comment.
+
+Each binary operator is defined once: a `Binary` subclass carrying its op
+name ("xor", "and", "or", "nand", "nor", "xnor"), placed in `_PRECEDENCE`
+under its token. The parser and printer read that table; `eval_point`
+maps the op name to a bit function and `eval_zonotope` to the zonotope
+module's `mink_<op>`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from . import zonotope as zn
 from .errors import (CyclicReferenceError, DslSyntaxError, DuplicateRuleError,
@@ -51,42 +59,41 @@ class Not:
 
 
 @dataclass(frozen=True)
-class Xor:
+class Binary:
+    """A binary operator node; each subclass names its op in `op`."""
+
     a: "BoolExpr"
     b: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class And:
-    a: "BoolExpr"
-    b: "BoolExpr"
+class Xor(Binary):
+    op = "xor"
 
 
-@dataclass(frozen=True)
-class Or:
-    a: "BoolExpr"
-    b: "BoolExpr"
+class And(Binary):
+    op = "and"
 
 
-@dataclass(frozen=True)
-class Nand:
-    a: "BoolExpr"
-    b: "BoolExpr"
+class Or(Binary):
+    op = "or"
 
 
-@dataclass(frozen=True)
-class Nor:
-    a: "BoolExpr"
-    b: "BoolExpr"
+class Nand(Binary):
+    op = "nand"
 
 
-@dataclass(frozen=True)
-class Xnor:
-    a: "BoolExpr"
-    b: "BoolExpr"
+class Nor(Binary):
+    op = "nor"
 
 
-BoolExpr = Union[Var, Const, Not, Xor, And, Or, Nand, Nor, Xnor]
+class Xnor(Binary):
+    op = "xnor"
+
+
+BoolExpr = Union[Var, Const, Not, Binary]
+
+# Binary operators by token, one dict per precedence level, loosest first.
+_PRECEDENCE = ({"|": Or, "nor": Nor}, {"^": Xor, "xnor": Xnor}, {"&": And, "nand": Nand})
 
 
 @dataclass(frozen=True)
@@ -99,8 +106,6 @@ class SystemSpec:
     init: Mapping[str, tuple]             # var -> sorted domain, e.g. (0, 1)
     inputs: Mapping[str, tuple]
     horizon: int = 0
-    # optional per-step input domains; entry k overrides `inputs` at step k
-    input_schedule: Optional[tuple] = None
 
     @property
     def n_x(self):
@@ -109,11 +114,6 @@ class SystemSpec:
     @property
     def n_u(self):
         return len(self.input_vars)
-
-    def inputs_at(self, k: int) -> Mapping[str, tuple]:
-        if self.input_schedule is not None:
-            return self.input_schedule[k] if k < len(self.input_schedule) else self.inputs
-        return self.inputs
 
 
 # ------------------------------------------------------------------- lexer
@@ -185,29 +185,16 @@ class _Parser:
             raise DslSyntaxError(f"expected {want!r}, got {t.text!r}", t.line, t.col)
         return self.next()
 
-    # expression grammar, loosest to tightest: | nor / ^ xnor / & nand / ! / atom
-    def expr(self, ctx) -> BoolExpr:
-        e = self.xor_level(ctx)
-        while self.peek().kind in ("punct", "kw") and self.peek().text in ("|", "nor"):
-            op = self.next().text
-            rhs = self.xor_level(ctx)
-            e = Or(e, rhs) if op == "|" else Nor(e, rhs)
-        return e
-
-    def xor_level(self, ctx) -> BoolExpr:
-        e = self.and_level(ctx)
-        while self.peek().text in ("^", "xnor"):
-            op = self.next().text
-            rhs = self.and_level(ctx)
-            e = Xor(e, rhs) if op == "^" else Xnor(e, rhs)
-        return e
-
-    def and_level(self, ctx) -> BoolExpr:
-        e = self.unary(ctx)
-        while self.peek().text in ("&", "nand"):
-            op = self.next().text
-            rhs = self.unary(ctx)
-            e = And(e, rhs) if op == "&" else Nand(e, rhs)
+    # expression grammar, loosest to tightest: the _PRECEDENCE levels, then
+    # ! and atoms; every binary operator is left associative
+    def expr(self, ctx, level: int = 0) -> BoolExpr:
+        if level == len(_PRECEDENCE):
+            return self.unary(ctx)
+        ops = _PRECEDENCE[level]
+        e = self.expr(ctx, level + 1)
+        while self.peek().text in ops:
+            node = ops[self.next().text]
+            e = node(e, self.expr(ctx, level + 1))
         return e
 
     def unary(self, ctx) -> BoolExpr:
@@ -358,6 +345,13 @@ def _parse_domain(p: _Parser) -> tuple:
 # -------------------------------------------------------------- evaluation
 
 
+_BIT_OPS = {
+    "xor": operator.xor, "and": operator.and_, "or": operator.or_,
+    "nand": lambda a, b: 1 - (a & b), "nor": lambda a, b: 1 - (a | b),
+    "xnor": lambda a, b: 1 - (a ^ b),
+}
+
+
 def eval_point(e: BoolExpr, env: Mapping[str, int]) -> int:
     """Evaluate over plain bits; primed names are looked up as "name'"."""
     match e:
@@ -370,18 +364,8 @@ def eval_point(e: BoolExpr, env: Mapping[str, int]) -> int:
             return env[key]
         case Not(a):
             return 1 - eval_point(a, env)
-        case Xor(a, b):
-            return eval_point(a, env) ^ eval_point(b, env)
-        case And(a, b):
-            return eval_point(a, env) & eval_point(b, env)
-        case Or(a, b):
-            return eval_point(a, env) | eval_point(b, env)
-        case Nand(a, b):
-            return 1 - (eval_point(a, env) & eval_point(b, env))
-        case Nor(a, b):
-            return 1 - (eval_point(a, env) | eval_point(b, env))
-        case Xnor(a, b):
-            return 1 - (eval_point(a, env) ^ eval_point(b, env))
+        case Binary(a, b):
+            return _BIT_OPS[e.op](eval_point(a, env), eval_point(b, env))
     raise EvalError(f"not an expression node: {e!r}")
 
 
@@ -403,27 +387,18 @@ def eval_zonotope(e: BoolExpr, env: Mapping[str, "zn.LogicalZonotope"]) -> "zn.L
             return env[key]
         case Not(a):
             return zn.mink_not(eval_zonotope(a, env))
-        case Xor(a, b):
-            z = zn.mink_xor(eval_zonotope(a, env), eval_zonotope(b, env))
-        case And(a, b):
-            z = zn.mink_and(eval_zonotope(a, env), eval_zonotope(b, env))
-        case Or(a, b):
-            z = zn.mink_or(eval_zonotope(a, env), eval_zonotope(b, env))
-        case Nand(a, b):
-            z = zn.mink_nand(eval_zonotope(a, env), eval_zonotope(b, env))
-        case Nor(a, b):
-            z = zn.mink_nor(eval_zonotope(a, env), eval_zonotope(b, env))
-        case Xnor(a, b):
-            z = zn.mink_xnor(eval_zonotope(a, env), eval_zonotope(b, env))
-        case _:
-            raise EvalError(f"not an expression node: {e!r}")
-    return zn.scalar_normalize(z)
+        case Binary(a, b):
+            # looked up on the module per call, not bound at import, so a
+            # tracer that replaces zonotope's functions sees every call
+            mink = getattr(zn, "mink_" + e.op)
+            return zn.scalar_normalize(mink(eval_zonotope(a, env), eval_zonotope(b, env)))
+    raise EvalError(f"not an expression node: {e!r}")
 
 
 # ------------------------------------------------------------ pretty print
 
-_LEVEL = {Or: 1, Nor: 1, Xor: 2, Xnor: 2, And: 3, Nand: 3}
-_SYM = {Or: "|", Nor: "nor", Xor: "^", Xnor: "xnor", And: "&", Nand: "nand"}
+_LEVEL = {node: level for level, ops in enumerate(_PRECEDENCE, 1) for node in ops.values()}
+_SYM = {node: tok for ops in _PRECEDENCE for tok, node in ops.items()}
 
 
 def print_expr(e: BoolExpr, parent_level: int = 0) -> str:
@@ -433,7 +408,7 @@ def print_expr(e: BoolExpr, parent_level: int = 0) -> str:
         case Var(name, primed):
             return name + ("'" if primed else "")
         case Not(a):
-            return "!" + print_expr(a, 4)
+            return "!" + print_expr(a, len(_PRECEDENCE))
     lvl = _LEVEL[type(e)]
     # left operand may sit at the same level (left associativity), the right
     # operand needs strictly tighter binding to re-parse identically

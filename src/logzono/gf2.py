@@ -46,15 +46,6 @@ class BitVec:
                 word |= 1 << pos
         return cls(len(text), word)
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVec":
-        bits = list(bits)
-        word = 0
-        for pos, b in enumerate(bits):
-            if b:
-                word |= 1 << pos
-        return cls(len(bits), word)
-
     def to_text(self) -> str:
         return "".join("1" if self.word >> p & 1 else "0" for p in range(self.n))
 
@@ -168,11 +159,6 @@ def identity(k: int) -> BitMatrix:
 
 def zero_matrix(rows: int, cols: int) -> BitMatrix:
     return BitMatrix(rows, cols, (0,) * rows)
-
-
-def from_column(v: BitVec) -> BitMatrix:
-    """n x 1 matrix holding v."""
-    return BitMatrix(v.n, 1, tuple(v.word >> p & 1 for p in range(v.n)))
 
 
 def from_columns(cols: Iterable[BitVec]) -> BitMatrix:

@@ -7,12 +7,12 @@ Two backends:
   rules are applied with Minkowski operations step by step.
   `dsl.eval_zonotope` normalizes the result of every binary op (a scalar
   point set is either {c} or {0,1}, so gamma stays 0 or 1), which keeps
-  each step's cost linear in the size of the update rules. With constant
-  input domains, a step whose per-variable state equals the previous one
-  is a fixed point: the remaining steps repeat its record (the same
-  var_sets and zonos objects) with time_s 0.0.
+  each step's cost linear in the size of the update rules. Input domains
+  are the same at every step, so a step whose per-variable state equals
+  the previous one is a fixed point: the remaining steps repeat its
+  record (the same var_sets and zonos objects) with time_s 0.0.
 * "explicit": ground-truth enumeration of the joint reachable set,
-  R_{k+1} = { f(x,u) : x in R_k, u in U_k }, with the same fixed-point
+  R_{k+1} = { f(x,u) : x in R_k, u in U }, with the same fixed-point
   stop.
 
 The per-step "size" is this library's own convention: the total number of
@@ -112,19 +112,17 @@ def _reach_zonotope(sys: SystemSpec, n: int) -> ReachResult:
     result = ReachResult("zonotope", sys.state_vars, n)
 
     state = {v: _domain_zonotope(sys.init[v]) for v in sys.state_vars}
+    inputs = {u: _domain_zonotope(sys.inputs[u]) for u in sys.input_vars}
     result.steps.append(_zono_record(0, sys, state, time.perf_counter() - t0))
-    constant_inputs = sys.input_schedule is None
 
     for k in range(1, n + 1):
         tk = time.perf_counter()
-        dom = sys.inputs_at(k - 1)
         env = dict(state)
-        for u in sys.input_vars:
-            env[u] = _domain_zonotope(dom[u])
+        env.update(inputs)
         for v in sys.updates:
             env[v + "'"] = eval_zonotope(sys.updates[v], env)
         nxt = {v: env[v + "'"] for v in sys.state_vars}
-        if constant_inputs and nxt == state:
+        if nxt == state:
             # fixed point: every later step repeats the previous record
             last = result.steps[-1]
             dt = time.perf_counter() - tk
@@ -170,21 +168,16 @@ def _exact_reach_timed(sys: SystemSpec, n: int, state_budget: int):
     r = _init_words(sys)
     out = [ExplicitSet.from_words(sys.n_x, r)]
     times = [time.perf_counter() - t_prev]
+    assignments = _input_assignments(sys)
     succ_cache = {}
-    constant_inputs = sys.input_schedule is None
     for k in range(n):
         t_prev = time.perf_counter()
-        assignments = _input_assignments(sys, k)
         nxt = set()
         for w in r:
-            if constant_inputs and w in succ_cache:
-                nxt |= succ_cache[w]
-            else:
-                s = _successors(sys, w, assignments)
-                if constant_inputs:
-                    succ_cache[w] = s
-                nxt |= s
-        if constant_inputs and nxt == r:
+            if w not in succ_cache:
+                succ_cache[w] = _successors(sys, w, assignments)
+            nxt |= succ_cache[w]
+        if nxt == r:
             # fixed point: every later step repeats this set
             fixed = ExplicitSet.from_words(sys.n_x, nxt)
             dt = time.perf_counter() - t_prev
@@ -204,11 +197,10 @@ def _init_words(sys: SystemSpec):
     return set(words)
 
 
-def _input_assignments(sys: SystemSpec, k: int):
-    dom = sys.inputs_at(k)
+def _input_assignments(sys: SystemSpec):
     envs = [{}]
     for u in sys.input_vars:
-        envs = [dict(e, **{u: b}) for e in envs for b in dom[u]]
+        envs = [dict(e, **{u: b}) for e in envs for b in sys.inputs[u]]
     return envs
 
 

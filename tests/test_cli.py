@@ -120,14 +120,6 @@ def test_lfsr_underdetermined_warning(capsys):
     assert "under-determined" in capsys.readouterr().err
 
 
-def test_lfsr_sweep_csv(capsys):
-    assert run(["lfsr", "--sweep", "4,8", "--out", "csv"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "length,time_s,verified"
-    assert [l.split(",")[0] for l in lines[1:]] == ["4", "8"]
-    assert all(l.endswith("true") for l in lines[1:])
-
-
 def test_set_xor_evaluate(zono_files, capsys):
     a, b = zono_files
     assert run(["set", "xor", a, b, "--evaluate"]) == 0

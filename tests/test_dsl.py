@@ -12,7 +12,7 @@ from logzono.dsl import (_KEYWORDS, And, Const, Nand, Nor, Not, Or,
 from logzono.errors import (CyclicReferenceError, DslSyntaxError,
                             DuplicateRuleError, EvalError,
                             UnknownIdentifierError)
-from logzono.explicit import ExplicitSet
+from logzono.explicit import ExplicitSet, oracle_not, oracle_op
 from logzono.gf2 import BitVec
 from logzono.zonotope import (LogicalZonotope, evaluate, mink_and, mink_nand,
                               mink_nor, mink_or, mink_xnor, mink_xor,
@@ -125,6 +125,23 @@ def test_eval_point_xor_self():
     e = Xor(Var("a"), Var("a"))
     assert eval_point(e, {"a": 0}) == 0
     assert eval_point(e, {"a": 1}) == 0
+
+
+@pytest.mark.parametrize("node", [Xor, And, Or, Nand, Nor, Xnor])
+def test_eval_point_binary_truth_table(node):
+    """Every row of each operator, against the explicit oracle on 1-bit
+    sets, which also pins the op names to the oracle's."""
+    for a, b in itertools.product((0, 1), repeat=2):
+        want = oracle_op(node.op, ExplicitSet.from_words(1, [a]),
+                         ExplicitSet.from_words(1, [b]))
+        got = eval_point(node(Var("a"), Var("b")), {"a": a, "b": b})
+        assert want.words() == {got}, (node.op, a, b)
+
+
+def test_eval_point_not_truth_table():
+    for a in (0, 1):
+        want = oracle_not(ExplicitSet.from_words(1, [a]))
+        assert want.words() == {eval_point(Not(Var("a")), {"a": a})}
 
 
 def test_eval_point_unbound():

@@ -149,25 +149,6 @@ def test_result_json_shape():
     assert set(d["steps"][0]) == {"k", "var_sets", "size", "joint_count", "time_s"}
 
 
-def test_per_step_input_schedule():
-    from dataclasses import replace
-    sys_ = parse_system("state x; input u; x' = x ^ u; init x = 0; in u = 0;")
-    timed = replace(sys_, input_schedule=({"u": (0,)}, {"u": (1,)}, {"u": (0, 1)}))
-    sets = exact_reach(timed, 3)
-    assert sets[1].words() == {0}
-    assert sets[2].words() == {1}
-    assert sets[3].words() == {0, 1}
-
-
-def test_input_schedule_disables_fixed_point_stop():
-    from dataclasses import replace
-    sys_ = parse_system("state x; input u; x' = x ^ u; init x = 0; in u = 0;")
-    timed = replace(sys_, input_schedule=({"u": (0,)}, {"u": (0,)}, {"u": (1,)}))
-    for backend in ("zonotope", "explicit"):
-        r = reach(timed, 3, backend)
-        assert [s.var_sets["x"] for s in r.steps] == [(0,), (0,), (0,), (1,)]
-
-
 def test_check_containment_lists_lost_states_in_order():
     """A hand-built unsound zonotope result: violations come per step, in
     the explicit set's point order, then in variable order."""
@@ -225,7 +206,7 @@ def _plain_zonotope_reach(sys_, n):
     for k in range(n + 1):
         if k:
             env = dict(state)
-            env.update((u, domain(d)) for u, d in sys_.inputs_at(k - 1).items())
+            env.update((u, domain(d)) for u, d in sys_.inputs.items())
             for v, e in sys_.updates.items():
                 env[v + "'"] = _raw_eval(e, env)
             state = {v: _collapse(env[v + "'"]) for v in sys_.state_vars}
