@@ -374,6 +374,10 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError as e:
+        # a rule nested deeper than the recursive parser or evaluators reach
+        print(f"error: input nested too deeply: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

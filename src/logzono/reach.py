@@ -13,7 +13,10 @@ Two backends:
   record (the same var_sets and zonos objects) with time_s 0.0.
 * "explicit": ground-truth enumeration of the joint reachable set,
   R_{k+1} = { f(x,u) : x in R_k, u in U }, with the same fixed-point
-  stop.
+  stop. States are ints (state_vars[i] at bit i). f is compiled once
+  per call by `dsl.compile_successors` and applied once per distinct
+  state word, to every input assignment at once; the successor sets are
+  cached for the rest of the call.
 
 The per-step "size" is this library's own convention: the total number of
 points across the per-variable value sets. The joint count (cartesian
@@ -25,12 +28,13 @@ not settled by anything in this repository.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dsl import SystemSpec, eval_point, eval_zonotope
+from .dsl import SystemSpec, compile_successors, eval_zonotope
 from .errors import CapacityError, UsageError
 from .explicit import ExplicitSet
 from .gf2 import BitVec
@@ -168,6 +172,7 @@ def _exact_reach_timed(sys: SystemSpec, n: int, state_budget: int):
     r = _init_words(sys)
     out = [ExplicitSet.from_words(sys.n_x, r)]
     times = [time.perf_counter() - t_prev]
+    successors = compile_successors(sys)
     assignments = _input_assignments(sys)
     succ_cache = {}
     for k in range(n):
@@ -175,7 +180,7 @@ def _exact_reach_timed(sys: SystemSpec, n: int, state_budget: int):
         nxt = set()
         for w in r:
             if w not in succ_cache:
-                succ_cache[w] = _successors(sys, w, assignments)
+                succ_cache[w] = successors(w, assignments)
             nxt |= succ_cache[w]
         if nxt == r:
             # fixed point: every later step repeats this set
@@ -197,26 +202,9 @@ def _init_words(sys: SystemSpec):
     return set(words)
 
 
-def _input_assignments(sys: SystemSpec):
-    envs = [{}]
-    for u in sys.input_vars:
-        envs = [dict(e, **{u: b}) for e in envs for b in sys.inputs[u]]
-    return envs
-
-
-def _successors(sys: SystemSpec, word: int, assignments) -> set:
-    base = {v: word >> i & 1 for i, v in enumerate(sys.state_vars)}
-    out = set()
-    for u_env in assignments:
-        env = dict(base)
-        env.update(u_env)
-        for v in sys.updates:
-            env[v + "'"] = eval_point(sys.updates[v], env)
-        w = 0
-        for i, v in enumerate(sys.state_vars):
-            w |= env[v + "'"] << i
-        out.add(w)
-    return out
+def _input_assignments(sys: SystemSpec) -> list:
+    """Every input assignment, as a tuple of bits in `input_vars` order."""
+    return list(itertools.product(*(sys.inputs[u] for u in sys.input_vars)))
 
 
 def _var_values(joint: ExplicitSet, var_names) -> dict:
@@ -229,13 +217,13 @@ def _reach_explicit(sys: SystemSpec, n: int, state_budget: int) -> ReachResult:
     t0 = time.perf_counter()
     sets, times = _exact_reach_timed(sys, n, state_budget)
     result = ReachResult("explicit", sys.state_vars, n)
-    var_sets_of = {}   # id(set) -> var_sets; the fixed-point tail repeats one set
+    # id(set) -> (var_sets, size, joint count); the fixed-point tail repeats one set
+    summaries = {}
     for k, (s, dt) in enumerate(zip(sets, times)):
-        if id(s) not in var_sets_of:
-            var_sets_of[id(s)] = _var_values(s, sys.state_vars)
-        var_sets = var_sets_of[id(s)]
-        size = sum(len(bits) for bits in var_sets.values())
-        result.steps.append(StepRecord(k, var_sets, size, len(s), dt, joint=s))
+        if id(s) not in summaries:
+            var_sets = _var_values(s, sys.state_vars)
+            summaries[id(s)] = var_sets, sum(len(bits) for bits in var_sets.values()), len(s)
+        result.steps.append(StepRecord(k, *summaries[id(s)], dt, joint=s))
     result.total_time_s = time.perf_counter() - t0
     return result
 

@@ -83,6 +83,18 @@ def test_reach_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_reach_rule_deeper_than_recursion_limit(tmp_path, capsys):
+    # the chain's AST is deeper than the recursion limit, which both
+    # backends' evaluators recurse through: an input error, not a traceback
+    chain = " & ".join(["u"] * (sys.getrecursionlimit() + 200) + ["x"])
+    deep = tmp_path / "deep.lbn"
+    deep.write_text(f"state x; input u; x' = {chain};"
+                    "init x = {0,1}; in u = {0,1}; horizon 3;")
+    for backend in ("zono", "exact", "both"):
+        assert run(["reach", str(deep), "--backend", backend]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: input nested too deeply")
+
+
 def test_reach_soundness_exit_code(system_file, monkeypatch, capsys):
     # force the violation branch; a real one would be a library bug
     monkeypatch.setattr(

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logzono.dsl import (_KEYWORDS, And, Const, Nand, Nor, Not, Or,
-                         SystemSpec, Var, Xnor, Xor, eval_point,
-                         eval_zonotope, parse_system, print_expr,
+                         SystemSpec, Var, Xnor, Xor, compile_successors,
+                         eval_point, eval_zonotope, parse_system, print_expr,
                          print_system)
 from logzono.errors import (CyclicReferenceError, DslSyntaxError,
                             DuplicateRuleError, EvalError,
@@ -17,6 +17,7 @@ from logzono.gf2 import BitVec
 from logzono.zonotope import (LogicalZonotope, evaluate, mink_and, mink_nand,
                               mink_nor, mink_or, mink_xnor, mink_xor,
                               singleton)
+from tests_util_systems import random_system_source
 
 MINI = """\
 state p1, c1;
@@ -343,3 +344,76 @@ def test_print_parse_round_trip_generated_systems(spec):
 def test_printer_minimal_parens():
     e = Or(Xor(And(Not(Var("a")), Var("b")), Var("c")), Var("a"))
     assert print_expr(e) == "!a & b ^ c | a"
+
+
+# ------------------------------------------------- compiled successors
+
+
+def _oracle_successors(spec, word, assignments):
+    """Successor words by eval_point, rule by rule in declaration order."""
+    out = set()
+    for values in assignments:
+        env = {v: word >> i & 1 for i, v in enumerate(spec.state_vars)}
+        env.update(zip(spec.input_vars, values))
+        for v, e in spec.updates.items():
+            env[v + "'"] = eval_point(e, env)
+        out.add(sum(env[v + "'"] << i for i, v in enumerate(spec.state_vars)))
+    return out
+
+
+def _assert_compiled_matches_oracle(spec):
+    """Every state word x every input assignment, one at a time and all
+    together."""
+    successors = compile_successors(spec)
+    assignments = list(itertools.product((0, 1), repeat=spec.n_u))
+    for word in range(1 << spec.n_x):
+        for a in assignments:
+            assert successors(word, [a]) == _oracle_successors(spec, word, [a]), (word, a)
+        assert successors(word, assignments) == _oracle_successors(spec, word, assignments)
+
+
+def test_compiled_successors_match_eval_point_on_random_systems():
+    rng = random.Random(61)
+    for _ in range(300):
+        src = random_system_source(rng, rng.randint(1, 4), rng.randint(0, 3),
+                                   rng.randint(1, 4))
+        _assert_compiled_matches_oracle(parse_system(src))
+
+
+def test_compiled_successors_python_keyword_and_builtin_names():
+    spec = parse_system("""
+state if, for, set, None;
+input out, x, _;
+if' = for & !set | out nand x;
+for' = if' ^ _ xnor None;
+set' = (set nor None) & if' | x;
+None' = !(for' nor out) ^ set';
+init if = {0,1}; init for = {0,1}; init set = {0,1}; init None = {0,1};
+in out = {0,1}; in x = {0,1}; in _ = {0,1};
+""")
+    _assert_compiled_matches_oracle(spec)
+
+
+def test_compiled_successors_250_term_chain():
+    # a rule nested 250 deep, past CPython's limit of 200 nested
+    # parentheses in one expression
+    chain = " & ".join(["u"] * 249 + ["x"])
+    spec = parse_system(f"state x, y; input u; x' = {chain}; y' = !x' ^ {chain};"
+                        "init x = {0,1}; init y = 0; in u = {0,1};")
+    _assert_compiled_matches_oracle(spec)
+
+
+def test_compiled_successors_without_inputs():
+    spec = parse_system("state a, b, c; a' = !c; b' = a' ^ b; c' = a nand b';"
+                        "init a = 0; init b = 0; init c = {0,1};")
+    assert spec.n_u == 0
+    _assert_compiled_matches_oracle(spec)
+    assert compile_successors(spec)(0, [()]) == {0b111}
+
+
+# primed references in any position, and systems without state variables,
+# which random_system_source never draws
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_compiled_successors_match_eval_point_generated_systems(spec):
+    _assert_compiled_matches_oracle(spec)
