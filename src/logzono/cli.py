@@ -141,7 +141,7 @@ def cmd_lfsr(args) -> int:
         inst = casestudies.CipherInstance(tuple(d["message"]),
                                           tuple(d["cipher"]))
     else:
-        l_m = args.message_len if args.message_len else 4 * spec.length
+        l_m = args.message_len or 4 * spec.length
         _, inst = _random_instance(spec, l_m, random.Random(args.seed))
     if inst.l_m < spec.length:
         print(f"warning: message ({inst.l_m} bits) shorter than key "
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=60)
     p.add_argument("--taps", help="feedback taps, comma separated")
     p.add_argument("--output-taps", help="output taps, comma separated")
-    p.add_argument("--message-len", type=int, default=None)
+    p.add_argument("--message-len", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instance", help="JSON file with spec/message/cipher")
     _add_common(p)
@@ -375,7 +375,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError as e:
-        # a rule nested deeper than the recursive parser or evaluators reach
+        # input nested past the recursion limit: a rule for the recursive
+        # DSL parser and evaluators, or a JSON file for json.load
         print(f"error: input nested too deeply: {e}", file=sys.stderr)
         return EXIT_INPUT
 

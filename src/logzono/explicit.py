@@ -42,12 +42,12 @@ class ExplicitSet:
 
     @classmethod
     def from_iterable(cls, dim: int, pts: Iterable[BitVec]) -> "ExplicitSet":
-        uniq = {}
+        words = []
         for p in pts:
             if p.n != dim:
                 raise DimensionError(f"point of length {p.n} in a dim-{dim} set")
-            uniq[p.word] = p
-        return cls(dim, tuple(uniq[w] for w in sorted(uniq, key=_text_key(dim))))
+            words.append(p.word)
+        return cls.from_words(dim, words)
 
     @classmethod
     def from_words(cls, dim: int, words: Iterable[int]) -> "ExplicitSet":

@@ -55,9 +55,6 @@ class BitVec:
             raise IndexError(f"index {i} out of range 1..{self.n}")
         return self.word >> (i - 1) & 1
 
-    def bits(self):
-        return [self.word >> p & 1 for p in range(self.n)]
-
     def _check(self, other: "BitVec"):
         if self.n != other.n:
             raise DimensionError(f"vector lengths differ: {self.n} vs {other.n}")
@@ -132,16 +129,6 @@ class BitMatrix:
     def entry(self, i: int, j: int) -> int:
         """Value at 1-based (row, col)."""
         return self.row_words[i - 1] >> (j - 1) & 1
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.row_words[i - 1])
-
-    def col(self, j: int) -> BitVec:
-        w = 0
-        for i, rw in enumerate(self.row_words):
-            if rw >> (j - 1) & 1:
-                w |= 1 << i
-        return BitVec(self.rows, w)
 
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

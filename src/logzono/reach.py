@@ -1,22 +1,31 @@
 """N-step reachability for parsed Boolean systems.
 
-Two backends:
+`reach` runs one step loop for both backends. Each backend supplies an
+initial state, a one-step advance and a record builder:
 
-* "zonotope": one scalar logical zonotope per state variable. Initial and
-  input sets are built with enclose_points and reduced, then the update
-  rules are applied with Minkowski operations step by step.
+* "zonotope": the state is one scalar logical zonotope per state
+  variable. Initial and input sets are built with enclose_points and
+  reduced; a step applies the update rules with Minkowski operations.
   `dsl.eval_zonotope` normalizes the result of every binary op (a scalar
   point set is either {c} or {0,1}, so gamma stays 0 or 1), which keeps
-  each step's cost linear in the size of the update rules. Input domains
-  are the same at every step, so a step whose per-variable state equals
-  the previous one is a fixed point: the remaining steps repeat its
-  record (the same var_sets and zonos objects) with time_s 0.0.
+  each step's cost linear in the size of the update rules.
 * "explicit": ground-truth enumeration of the joint reachable set,
-  R_{k+1} = { f(x,u) : x in R_k, u in U }, with the same fixed-point
-  stop. States are ints (state_vars[i] at bit i). f is compiled once
-  per call by `dsl.compile_successors` and applied once per distinct
-  state word, to every input assignment at once; the successor sets are
-  cached for the rest of the call.
+  R_{k+1} = { f(x,u) : x in R_k, u in U }. The state is a set of words
+  (state_vars[i] at bit i). f is compiled once per call by
+  `dsl.compile_successors` and applied once per distinct state word, to
+  every input assignment at once; the successor sets are cached for the
+  rest of the call.
+
+Input domains are the same at every step, so a step whose state equals
+the previous one is a fixed point. The loop then stops computing: the
+remaining steps share the last computed record's var_sets, zonos and
+joint objects, the first of them keeps its measured time and the rest get
+time_s 0.0.
+
+Timing: step 0's time_s covers the backend's setup (input zonotopes, or
+the budget check and compiling the rules) and the initial record; step
+k's covers its advance, the fixed-point test and its record. total_time_s
+covers the whole call.
 
 The per-step "size" is this library's own convention: the total number of
 points across the per-variable value sets. The joint count (cartesian
@@ -62,9 +71,6 @@ class ReachResult:
     steps: list = field(default_factory=list)
     total_time_s: float = 0.0
 
-    def sizes(self):
-        return [s.size for s in self.steps]
-
     def to_json_dict(self) -> dict:
         return {
             "backend": self.backend,
@@ -101,131 +107,96 @@ def reach(sys: SystemSpec, n: int, backend: str = "zonotope", *,
           state_budget: int = DEFAULT_STATE_BUDGET) -> ReachResult:
     if n < 0:
         raise UsageError(f"horizon must be nonnegative, got {n}")
-    if backend == "zonotope":
-        return _reach_zonotope(sys, n)
-    if backend == "explicit":
-        return _reach_explicit(sys, n, state_budget)
-    raise UsageError(f"unknown backend {backend!r}")
-
-
-# ------------------------------------------------------------- zonotope
-
-
-def _reach_zonotope(sys: SystemSpec, n: int) -> ReachResult:
     t0 = time.perf_counter()
-    result = ReachResult("zonotope", sys.state_vars, n)
-
-    state = {v: _domain_zonotope(sys.init[v]) for v in sys.state_vars}
-    inputs = {u: _domain_zonotope(sys.inputs[u]) for u in sys.input_vars}
-    result.steps.append(_zono_record(0, sys, state, time.perf_counter() - t0))
+    if backend == "zonotope":
+        state, advance, record = _zonotope_backend(sys)
+    elif backend == "explicit":
+        state, advance, record = _explicit_backend(sys, state_budget)
+    else:
+        raise UsageError(f"unknown backend {backend!r}")
+    result = ReachResult(backend, sys.state_vars, n)
+    steps = result.steps
+    steps.append(record(0, state))
+    steps[0].time_s = time.perf_counter() - t0
 
     for k in range(1, n + 1):
         tk = time.perf_counter()
-        env = dict(state)
-        env.update(inputs)
-        for v in sys.updates:
-            env[v + "'"] = eval_zonotope(sys.updates[v], env)
-        nxt = {v: env[v + "'"] for v in sys.state_vars}
+        nxt = advance(state)
         if nxt == state:
-            # fixed point: every later step repeats the previous record
-            last = result.steps[-1]
+            # fixed point: every later step repeats the last computed record
+            last = steps[-1]
             dt = time.perf_counter() - tk
-            result.steps.extend(
+            steps.extend(
                 StepRecord(j, last.var_sets, last.size, last.joint_count,
-                           dt if j == k else 0.0, zonos=last.zonos)
+                           dt if j == k else 0.0, last.zonos, last.joint)
                 for j in range(k, n + 1))
             break
         state = nxt
-        result.steps.append(_zono_record(k, sys, state, time.perf_counter() - tk))
+        steps.append(record(k, state))
+        steps[-1].time_s = time.perf_counter() - tk
 
     result.total_time_s = time.perf_counter() - t0
     return result
 
 
-def _scalar_values(z: LogicalZonotope) -> tuple:
-    """The bits a 1-bit zonotope takes, in `evaluate` order, without
-    enumerating: {0,1} if any generator is nonzero, else its center."""
-    return (0, 1) if any(g.word for g in z.generators) else (z.center.word,)
+def _zonotope_backend(sys: SystemSpec):
+    """(initial state, advance, record) with var -> scalar zonotope states."""
+    inputs = {u: _domain_zonotope(sys.inputs[u]) for u in sys.input_vars}
+
+    def advance(state: dict) -> dict:
+        env = dict(state)
+        env.update(inputs)
+        for v in sys.updates:
+            env[v + "'"] = eval_zonotope(sys.updates[v], env)
+        return {v: env[v + "'"] for v in sys.state_vars}
+
+    def record(k: int, state: dict) -> StepRecord:
+        # a normalized 1-bit zonotope takes {0,1} if any generator is
+        # nonzero, else its center: the values `evaluate` gives, in its order
+        var_sets = {v: (0, 1) if any(g.word for g in z.generators) else (z.center.word,)
+                    for v, z in state.items()}
+        size = sum(len(bits) for bits in var_sets.values())
+        joint = math.prod(len(bits) for bits in var_sets.values())
+        return StepRecord(k, var_sets, size, joint, 0.0, zonos=state)
+
+    state = {v: _domain_zonotope(sys.init[v]) for v in sys.state_vars}
+    return state, advance, record
 
 
-def _zono_record(k, sys, state, dt) -> StepRecord:
-    var_sets = {v: _scalar_values(state[v]) for v in sys.state_vars}
-    size = sum(len(bits) for bits in var_sets.values())
-    joint = math.prod(len(bits) for bits in var_sets.values())
-    return StepRecord(k, var_sets, size, joint, dt, zonos=state)
+def _explicit_backend(sys: SystemSpec, state_budget: int):
+    """(initial state, advance, record) with sets of joint-state words."""
+    if sys.n_x > state_budget:
+        raise CapacityError(
+            f"n_x={sys.n_x} exceeds explicit state budget {state_budget}")
+    successors = compile_successors(sys)
+    assignments = list(itertools.product(*(sys.inputs[u] for u in sys.input_vars)))
+    succ_cache = {}                # state word -> its successor words
 
+    def advance(words: set) -> set:
+        nxt = set()
+        for w in words:
+            if w not in succ_cache:
+                succ_cache[w] = successors(w, assignments)
+            nxt |= succ_cache[w]
+        return nxt
 
-# ------------------------------------------------------------- explicit
+    def record(k: int, words: set) -> StepRecord:
+        joint = ExplicitSet.from_words(sys.n_x, words)
+        var_sets = {v: tuple(sorted({w >> i & 1 for w in words}))
+                    for i, v in enumerate(sys.state_vars)}
+        size = sum(len(bits) for bits in var_sets.values())
+        return StepRecord(k, var_sets, size, len(joint), 0.0, joint=joint)
+
+    words = {0}
+    for i, v in enumerate(sys.state_vars):
+        words = {w | b << i for w in words for b in sys.init[v]}
+    return words, advance, record
 
 
 def exact_reach(sys: SystemSpec, n: int, *,
                 state_budget: int = DEFAULT_STATE_BUDGET) -> list:
     """R_0..R_n as ExplicitSets over the joint state space."""
-    return _exact_reach_timed(sys, n, state_budget)[0]
-
-
-def _exact_reach_timed(sys: SystemSpec, n: int, state_budget: int):
-    if sys.n_x > state_budget:
-        raise CapacityError(
-            f"n_x={sys.n_x} exceeds explicit state budget {state_budget}")
-    t_prev = time.perf_counter()
-    r = _init_words(sys)
-    out = [ExplicitSet.from_words(sys.n_x, r)]
-    times = [time.perf_counter() - t_prev]
-    successors = compile_successors(sys)
-    assignments = _input_assignments(sys)
-    succ_cache = {}
-    for k in range(n):
-        t_prev = time.perf_counter()
-        nxt = set()
-        for w in r:
-            if w not in succ_cache:
-                succ_cache[w] = successors(w, assignments)
-            nxt |= succ_cache[w]
-        if nxt == r:
-            # fixed point: every later step repeats this set
-            fixed = ExplicitSet.from_words(sys.n_x, nxt)
-            dt = time.perf_counter() - t_prev
-            out.extend([fixed] * (n - k))
-            times.extend([dt] + [0.0] * (n - k - 1))
-            return out, times
-        r = nxt
-        out.append(ExplicitSet.from_words(sys.n_x, r))
-        times.append(time.perf_counter() - t_prev)
-    return out, times
-
-
-def _init_words(sys: SystemSpec):
-    words = [0]
-    for i, v in enumerate(sys.state_vars):
-        words = [w | (b << i) for w in words for b in sys.init[v]]
-    return set(words)
-
-
-def _input_assignments(sys: SystemSpec) -> list:
-    """Every input assignment, as a tuple of bits in `input_vars` order."""
-    return list(itertools.product(*(sys.inputs[u] for u in sys.input_vars)))
-
-
-def _var_values(joint: ExplicitSet, var_names) -> dict:
-    """var -> sorted tuple of the bits it takes across the joint set."""
-    return {v: tuple(sorted({p.word >> i & 1 for p in joint.points}))
-            for i, v in enumerate(var_names)}
-
-
-def _reach_explicit(sys: SystemSpec, n: int, state_budget: int) -> ReachResult:
-    t0 = time.perf_counter()
-    sets, times = _exact_reach_timed(sys, n, state_budget)
-    result = ReachResult("explicit", sys.state_vars, n)
-    # id(set) -> (var_sets, size, joint count); the fixed-point tail repeats one set
-    summaries = {}
-    for k, (s, dt) in enumerate(zip(sets, times)):
-        if id(s) not in summaries:
-            var_sets = _var_values(s, sys.state_vars)
-            summaries[id(s)] = var_sets, sum(len(bits) for bits in var_sets.values()), len(s)
-        result.steps.append(StepRecord(k, *summaries[id(s)], dt, joint=s))
-    result.total_time_s = time.perf_counter() - t0
-    return result
+    return [s.joint for s in reach(sys, n, "explicit", state_budget=state_budget).steps]
 
 
 # ----------------------------------------------------------- containment
@@ -237,8 +208,8 @@ def check_containment(r_zono: ReachResult, r_exact: ReachResult) -> ContainmentR
     Each (zonotope, bit) pair is tested once, and a step that shares its
     zonos and joint set with an earlier one (a fixed-point tail) reuses
     that step's verdict. The points of a step are walked only when some
-    value a variable takes there is not contained, so violations come in
-    point order, then variable order.
+    value a variable takes there (its explicit record's var_sets) is not
+    contained, so violations come in point order, then variable order.
     """
     if r_zono.horizon != r_exact.horizon or r_zono.var_names != r_exact.var_names:
         raise UsageError("reach results compare different systems or horizons")
@@ -258,9 +229,8 @@ def check_containment(r_zono: ReachResult, r_exact: ReachResult) -> ContainmentR
     for zs, es in zip(r_zono.steps, r_exact.steps):
         key = (id(zs.zonos), id(es.joint))
         if key not in step_ok:
-            values = _var_values(es.joint, names)
             step_ok[key] = all(holds(zs.zonos[v], bit)
-                               for v in names for bit in values[v])
+                               for v in names for bit in es.var_sets[v])
         if not step_ok[key]:
             for point in es.joint:
                 for i, v in enumerate(names):

@@ -95,6 +95,13 @@ def test_reach_rule_deeper_than_recursion_limit(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: input nested too deeply")
 
 
+def test_json_deeper_than_recursion_limit(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    assert run(["contains", str(deep), "0"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: input nested too deeply")
+
+
 def test_reach_soundness_exit_code(system_file, monkeypatch, capsys):
     # force the violation branch; a real one would be a library bug
     monkeypatch.setattr(
@@ -215,6 +222,8 @@ def test_gamma_cap_validation(zono_files, capsys):
     ["lfsr", "--gamma-cap", "1"],
     ["contains", "SYSTEM", "0", "--gamma-cap", "1"],
     ["bench", "lfsr", "--gamma-cap", "1"],
+    ["lfsr", "--message-len", "0"],
+    ["lfsr", "--message-len", "-5"],
     ["frobnicate"],
 ])
 def test_usage_errors_are_input_errors(system_file, capsys, argv):

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from logzono.casestudies import intersection_system
 from logzono.dsl import (And, Const, Nand, Nor, Not, Or, Var, Xnor, Xor,
-                         parse_system)
+                         eval_point, parse_system)
 from logzono.errors import CapacityError, UsageError
 from logzono.gf2 import BitVec
 from logzono.reach import (ReachResult, StepRecord, check_containment,
@@ -250,11 +251,62 @@ def test_zono_records_list_the_values_evaluate_gives():
                                   for v, z in s.zonos.items()}, src
 
 
+def _plain_explicit_reach(sys_, n):
+    """Reference: every step enumerated with eval_point, no fixed-point
+    stop; (k, var_sets, size, joint count, joint words)."""
+    names = sys_.state_vars
+    inputs = [dict(zip(sys_.input_vars, bits)) for bits in
+              itertools.product(*(sys_.inputs[u] for u in sys_.input_vars))]
+    succ = {}                      # state tuple -> its successor tuples
+
+    def successors(x):
+        if x not in succ:
+            succ[x] = set()
+            for u in inputs:
+                env = {**dict(zip(names, x)), **u}
+                for v, e in sys_.updates.items():
+                    env[v + "'"] = eval_point(e, env)
+                succ[x].add(tuple(env[v + "'"] for v in names))
+        return succ[x]
+
+    states = set(itertools.product(*(sys_.init[v] for v in names)))
+    out = []
+    for k in range(n + 1):
+        if k:
+            states = set().union(*map(successors, states))
+        var_sets = {v: tuple(sorted({x[i] for x in states})) for i, v in enumerate(names)}
+        words = frozenset(sum(b << i for i, b in enumerate(x)) for x in states)
+        out.append((k, var_sets, sum(len(b) for b in var_sets.values()),
+                    len(words), words))
+    return out
+
+
+def _explicit_records(result):
+    return [(s.k, s.var_sets, s.size, s.joint_count, s.joint.words())
+            for s in result.steps]
+
+
+def _assert_fixed_point_tail(r):
+    """Intersection at N=50: step 3 repeats step 2, the last one computed.
+    Step 3 keeps the time of finding the fixed point, later steps are not
+    computed, and the whole tail shares step 2's objects."""
+    assert [s.k for s in r.steps] == list(range(51))
+    assert r.steps[3].time_s > 0.0
+    assert [s.time_s == 0.0 for s in r.steps[4:]] == [True] * 47
+    tail = r.steps[2:]
+    assert all(s.zonos is tail[0].zonos and s.var_sets is tail[0].var_sets
+               and s.joint is tail[0].joint for s in tail)
+
+
 def test_intersection_zonotope_reach_stops_at_fixed_point():
     sys_ = intersection_system()
     rz = reach(sys_, 50, "zonotope")
     assert _records(rz) == _plain_zonotope_reach(sys_, 50)
-    assert [s.time_s == 0.0 for s in rz.steps[4:]] == [True] * 47
-    tail = rz.steps[3:]
-    assert all(s.zonos is tail[0].zonos and s.var_sets is tail[0].var_sets
-               for s in tail)
+    _assert_fixed_point_tail(rz)
+
+
+def test_intersection_explicit_reach_stops_at_fixed_point():
+    sys_ = intersection_system()
+    rx = reach(sys_, 50, "explicit")
+    assert _explicit_records(rx) == _plain_explicit_reach(sys_, 50)
+    _assert_fixed_point_tail(rx)
