@@ -23,7 +23,7 @@ from .zonotope import (DEFAULT_GAMMA_CAP, LogicalZonotope, contains,
                        mink_xnor, mink_xor, reduce, singleton)
 from .matrix_zonotope import LogicalMatrixZonotope, evaluate_matrix, mink_stp
 from .dsl import (SystemSpec, compile_successors, eval_point, eval_zonotope,
-                  parse_system, print_expr, print_system)
+                  lower_rules, parse_system, print_expr, print_system)
 from .reach import (ContainmentReport, ReachResult, StepRecord,
                     check_containment, exact_reach, reach)
 from .casestudies import (CipherInstance, LfsrSpec, encrypt,
@@ -45,7 +45,7 @@ __all__ = [
     "evaluate_matrix", "exact_reach", "from_columns",
     "full_set", "gf2_matmul", "gf2_matvec", "gf2_solve", "identity",
     "intersection_system", "key_search", "kron", "lfsr_keystream",
-    "make_instance", "mink_and", "mink_nand", "mink_nor", "mink_not",
+    "lower_rules", "make_instance", "mink_and", "mink_nand", "mink_nor", "mink_not",
     "mink_or", "mink_stp", "mink_xnor", "mink_xor", "ones", "oracle_not",
     "oracle_op", "parse_system", "print_expr", "print_system", "reach",
     "reduce", "scaled_spec", "singleton", "stp", "zeros",

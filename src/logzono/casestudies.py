@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .dsl import SystemSpec, parse_system
-from .errors import DimensionError, SearchFailed
+from .errors import DimensionError, SearchFailed, UsageError
 from .gf2 import solve_words
 
 
@@ -46,7 +46,9 @@ class LfsrSpec:
 
 
 def scaled_spec(length: int) -> LfsrSpec:
-    """Shrunk variant of the default taps for desk-scale runs."""
+    """Shrunk variant of the default taps for desk-scale runs; length >= 3."""
+    if length < 3:
+        raise UsageError(f"LFSR length must be at least 3, got {length}")
     if length == 60:
         return LfsrSpec()
     fb = (length, length - 1, length - 2, max(2, length // 4))

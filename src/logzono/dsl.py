@@ -31,6 +31,12 @@ a state word and a list of input assignments to the set of successor
 words. The explicit reach backend builds it once per `reach` call.
 `eval_point` stays the reference that the compiled function is tested
 against.
+
+`lower_rules` turns a system's rules into straight-line instructions over
+numbered slots, without recursion. The zonotope reach backend runs them
+on scalar zonotope codes. `eval_zonotope` stays the reference that
+backend is tested against, and is the evaluator for zonotopes of any
+dimension.
 """
 
 from __future__ import annotations
@@ -450,6 +456,62 @@ def compile_successors(spec: SystemSpec):
         return out
 
     return successors
+
+
+# ----------------------------------------------------------------- lowering
+
+
+def lower_rules(spec: SystemSpec):
+    """Lower spec's update rules once into straight-line code over slots.
+
+    Returns `(names, code)`. Slot i is named `names[i]`: the state
+    variables, the inputs, the next state ("x'"), the constants "0" and
+    "1", then one slot "%j" per operator node, holding the value that
+    instruction j computes. Each instruction is `(dst, op, a, b)`: `op` is
+    "not" (b is None), one of the binary op names, or "copy" (b is None).
+    Every rule's instructions come in declaration order, its operands
+    before their operator, and end with a copy into its primed slot. The
+    rules are walked with an explicit stack, so no rule is too deep to
+    lower. A name that `eval_point` would find unbound at that point (an
+    unknown variable, or a primed one whose rule comes later) raises
+    EvalError, as does a state variable without a rule.
+    """
+    names = [*spec.state_vars, *spec.input_vars, *(v + "'" for v in spec.state_vars),
+             "0", "1"]
+    slots = {name: i for i, name in enumerate(names)}
+    bound = {*spec.state_vars, *spec.input_vars}
+    code = []
+    for v, root in spec.updates.items():
+        values = []                # slots of finished operands, last on top
+        todo = [root]              # nodes to lower, and op names to emit
+        while todo:
+            e = todo.pop()
+            match e:
+                case Const(c):
+                    values.append(slots[str(c)])
+                case Var(name, primed):
+                    key = name + "'" if primed else name
+                    if key not in bound:
+                        raise EvalError(f"unbound variable {key!r}")
+                    values.append(slots[key])
+                case Not(a):
+                    todo += ["not", a]
+                case Binary(a, b):
+                    todo += [e.op, b, a]
+                case str():
+                    b = values.pop() if e != "not" else None
+                    a = values.pop()
+                    values.append(len(names))
+                    code.append((len(names), e, a, b))
+                    names.append(f"%{len(code) - 1}")
+                case _:
+                    raise EvalError(f"not an expression node: {e!r}")
+        code.append((slots[v + "'"], "copy", values.pop(), None))
+        bound.add(v + "'")
+    for v in spec.state_vars:
+        if v + "'" not in bound:
+            raise EvalError(f"state variable {v!r} has no update rule")
+    return tuple(names), code
 
 
 # ------------------------------------------------------------ pretty print

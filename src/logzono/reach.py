@@ -4,11 +4,16 @@
 initial state, a one-step advance and a record builder:
 
 * "zonotope": the state is one scalar logical zonotope per state
-  variable. Initial and input sets are built with enclose_points and
-  reduced; a step applies the update rules with Minkowski operations.
-  `dsl.eval_zonotope` normalizes the result of every binary op (a scalar
-  point set is either {c} or {0,1}, so gamma stays 0 or 1), which keeps
-  each step's cost linear in the size of the update rules.
+  variable, held as its code, center | (has a generator) << 1. A
+  normalized scalar zonotope is one of those four objects, and every
+  Minkowski op's result code depends only on its operands' codes
+  (`zonotope.scalar_normalize`). Initial and input sets are built with
+  enclose_points and reduced, then coded. The rules are lowered once per
+  call by `dsl.lower_rules`, and a step runs its instructions on a list of
+  codes, one table lookup per op. Each op has one table per call; an
+  entry is filled the first time it is needed, by applying the op's
+  `zonotope.mink_<op>` to the representative zonotopes and normalizing.
+  Records map codes back to the four representatives (`_SCALARS`).
 * "explicit": ground-truth enumeration of the joint reachable set,
   R_{k+1} = { f(x,u) : x in R_k, u in U }. The state is a set of words
   (state_vars[i] at bit i). f is compiled once per call by
@@ -38,12 +43,12 @@ not settled by anything in this repository.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dsl import SystemSpec, compile_successors, eval_zonotope
+from . import zonotope
+from .dsl import SystemSpec, compile_successors, lower_rules
 from .errors import CapacityError, UsageError
 from .explicit import ExplicitSet
 from .gf2 import BitVec
@@ -98,11 +103,6 @@ class ContainmentReport:
         return max(self.surplus) if self.surplus else 0
 
 
-def _domain_zonotope(domain) -> LogicalZonotope:
-    pts = [BitVec(1, b) for b in domain]
-    return reduce(enclose_points(pts))
-
-
 def reach(sys: SystemSpec, n: int, backend: str = "zonotope", *,
           state_budget: int = DEFAULT_STATE_BUDGET) -> ReachResult:
     if n < 0:
@@ -139,27 +139,59 @@ def reach(sys: SystemSpec, n: int, backend: str = "zonotope", *,
     return result
 
 
+# The four normalized scalar zonotopes, by code = center | (has a generator) << 1:
+# {0}, {1}, and {0,1} with center 0 or 1.
+_SCALARS = tuple(LogicalZonotope(BitVec(1, c & 1), (BitVec(1, 1),) if c & 2 else ())
+                 for c in range(4))
+_VALUES = ((0,), (1,), (0, 1), (0, 1))   # code -> the values `evaluate` gives
+
+
+def _code(z: LogicalZonotope) -> int:
+    return z.center.word | any(g.word for g in z.generators) << 1
+
+
+def _domain_code(domain) -> int:
+    return _code(reduce(enclose_points([BitVec(1, b) for b in domain])))
+
+
 def _zonotope_backend(sys: SystemSpec):
-    """(initial state, advance, record) with var -> scalar zonotope states."""
-    inputs = {u: _domain_zonotope(sys.inputs[u]) for u in sys.input_vars}
+    """(initial state, advance, record) with tuples of scalar zonotope codes."""
+    names, code = lower_rules(sys)
+    n_x, first_next = sys.n_x, sys.n_x + sys.n_u
+    env = [0] * len(names)
+    for i, u in enumerate(sys.input_vars, n_x):
+        env[i] = _domain_code(sys.inputs[u])
+    env[names.index("1")] = 1      # slot "0" holds code 0 already
+    # op -> result code by operand codes (a << 2 | b), filled on first use
+    tables = {op: [None] * 16 for _, op, _, _ in code if op != "copy"}
 
-    def advance(state: dict) -> dict:
-        env = dict(state)
-        env.update(inputs)
-        for v in sys.updates:
-            env[v + "'"] = eval_zonotope(sys.updates[v], env)
-        return {v: env[v + "'"] for v in sys.state_vars}
+    def fill(op: str, key: int) -> int:
+        # looked up on the module per entry, not bound at import, so a
+        # tracer that replaces zonotope's functions sees every fill
+        mink = getattr(zonotope, "mink_" + op)
+        a, b = _SCALARS[key >> 2], _SCALARS[key & 3]
+        z = mink(a) if op == "not" else mink(a, b)
+        tables[op][key] = c = _code(zonotope.scalar_normalize(z))
+        return c
 
-    def record(k: int, state: dict) -> StepRecord:
-        # a normalized 1-bit zonotope takes {0,1} if any generator is
-        # nonzero, else its center: the values `evaluate` gives, in its order
-        var_sets = {v: (0, 1) if any(g.word for g in z.generators) else (z.center.word,)
-                    for v, z in state.items()}
-        size = sum(len(bits) for bits in var_sets.values())
-        joint = math.prod(len(bits) for bits in var_sets.values())
-        return StepRecord(k, var_sets, size, joint, 0.0, zonos=state)
+    def advance(state: tuple) -> tuple:
+        env[:n_x] = state
+        for dst, op, a, b in code:
+            if op == "copy":
+                env[dst] = env[a]
+                continue
+            key = env[a] << 2 | (0 if b is None else env[b])
+            c = tables[op][key]
+            env[dst] = fill(op, key) if c is None else c
+        return tuple(env[first_next:first_next + n_x])
 
-    state = {v: _domain_zonotope(sys.init[v]) for v in sys.state_vars}
+    def record(k: int, state: tuple) -> StepRecord:
+        var_sets = {v: _VALUES[c] for v, c in zip(sys.state_vars, state)}
+        free = sum(c >> 1 for c in state)
+        return StepRecord(k, var_sets, n_x + free, 1 << free, 0.0,
+                          zonos={v: _SCALARS[c] for v, c in zip(sys.state_vars, state)})
+
+    state = tuple(_domain_code(sys.init[v]) for v in sys.state_vars)
     return state, advance, record
 
 
@@ -216,13 +248,15 @@ def check_containment(r_zono: ReachResult, r_exact: ReachResult) -> ContainmentR
     if r_zono.backend != "zonotope" or r_exact.backend != "explicit":
         raise UsageError("expected a zonotope result and an explicit result")
     names = r_zono.var_names
-    verdicts = {}      # (zonotope, bit) -> contains
+    # (id(zonotope), bit) -> contains; r_zono keeps every zonotope alive
+    verdicts = {}
     step_ok = {}       # (id(zonos), id(joint)) -> every value contained
 
     def holds(z, bit):
-        if (z, bit) not in verdicts:
-            verdicts[z, bit] = contains(z, BitVec(1, bit))
-        return verdicts[z, bit]
+        key = (id(z), bit)
+        if key not in verdicts:
+            verdicts[key] = contains(z, BitVec(1, bit))
+        return verdicts[key]
 
     violations = []
     surplus = []

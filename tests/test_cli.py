@@ -84,13 +84,17 @@ def test_reach_missing_file(capsys):
 
 
 def test_reach_rule_deeper_than_recursion_limit(tmp_path, capsys):
-    # the chain's AST is deeper than the recursion limit, which both
-    # backends' evaluators recurse through: an input error, not a traceback
+    # the chain parses without recursion and the zonotope backend runs on
+    # its lowered instructions; the explicit backend's compiled closures
+    # recurse through the AST: an input error there, not a traceback
     chain = " & ".join(["u"] * (sys.getrecursionlimit() + 200) + ["x"])
     deep = tmp_path / "deep.lbn"
     deep.write_text(f"state x; input u; x' = {chain};"
                     "init x = {0,1}; in u = {0,1}; horizon 3;")
-    for backend in ("zono", "exact", "both"):
+    assert run(["reach", str(deep), "--backend", "zono", "--out", "json"]) == cli.EXIT_OK
+    steps = json.loads(capsys.readouterr().out)["zonotope"]["steps"]
+    assert [s["var_sets"] for s in steps] == [{"x": [0, 1]}] * 4
+    for backend in ("exact", "both"):
         assert run(["reach", str(deep), "--backend", backend]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: input nested too deeply")
 
@@ -131,6 +135,16 @@ def test_lfsr_search_failure_exit_code(tmp_path, capsys):
         "spec": LfsrSpec(4, (4, 3), (4,)).to_json_dict(),
         "message": [0] * 16, "cipher": [1] * 16}))
     assert run(["lfsr", "--instance", str(inst)]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["lfsr", "--length", "0"], ["lfsr", "--length", "-3"], ["lfsr", "--length", "1"],
+    ["lfsr", "--length", "2"], ["bench", "lfsr", "--lengths", "0"],
+])
+def test_lfsr_length_below_three_names_the_length(argv, capsys):
+    assert run(argv) == cli.EXIT_INPUT
+    length = argv[-1]
+    assert capsys.readouterr().err == f"error: LFSR length must be at least 3, got {length}\n"
 
 
 def test_lfsr_underdetermined_warning(capsys):

@@ -3,12 +3,11 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from logzono.dsl import (_KEYWORDS, And, Const, Nand, Nor, Not, Or,
+from logzono.dsl import (_BIT_OPS, And, Const, Nand, Nor, Not, Or,
                          SystemSpec, Var, Xnor, Xor, compile_successors,
-                         eval_point, eval_zonotope, parse_system, print_expr,
-                         print_system)
+                         eval_point, eval_zonotope, lower_rules, parse_system,
+                         print_expr, print_system)
 from logzono.errors import (CyclicReferenceError, DslSyntaxError,
                             DuplicateRuleError, EvalError,
                             UnknownIdentifierError)
@@ -17,6 +16,7 @@ from logzono.gf2 import BitVec
 from logzono.zonotope import (LogicalZonotope, evaluate, mink_and, mink_nand,
                               mink_nor, mink_or, mink_xnor, mink_xor,
                               singleton)
+from tests_util_strategies import systems
 from tests_util_systems import random_system_source
 
 MINI = """\
@@ -285,54 +285,8 @@ def test_print_parse_fixpoint_random_exprs():
         assert parse_system(print_system(spec)) == spec
 
 
-# letters that spell the keywords, so drawn names include keyword prefixes
-# and near-misses such as "ins" or "xno"
-_HEAD = "abcinstxzAZ_"
-_NAMES = st.builds(str.__add__, st.sampled_from(_HEAD),
-                   st.text(_HEAD + "dehlmoprtu09", max_size=5)).filter(
-    lambda name: name not in _KEYWORDS)
-_DOMAINS = st.sampled_from([(0,), (1,), (0, 1)])
-_BINARY = (Xor, And, Or, Nand, Nor, Xnor)
-
-
-# expression shapes with int leaves, bound to variables per system: one
-# strategy built once is far cheaper than a new st.recursive per rule
-_SHAPES = st.recursive(
-    st.integers(0, 7) | st.builds(Const, st.sampled_from([0, 1])),
-    lambda sub: st.builds(Not, sub) | st.builds(
-        lambda op, a, b: op(a, b), st.sampled_from(_BINARY), sub, sub),
-    max_leaves=8)
-
-
-def _bind(e, leaves):
-    """Replace int leaf i with leaves[i % len(leaves)] (a constant if none)."""
-    if isinstance(e, int):
-        return leaves[e % len(leaves)] if leaves else Const(e & 1)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Not):
-        return Not(_bind(e.e, leaves))
-    return type(e)(_bind(e.a, leaves), _bind(e.b, leaves))
-
-
-@st.composite
-def _systems(draw):
-    names = draw(st.lists(_NAMES, min_size=0, max_size=5, unique=True))
-    n_x = draw(st.integers(0, len(names)))
-    state, inputs = names[:n_x], names[n_x:]
-    plain = [Var(v) for v in names]
-    updates = {}
-    # primed references may only name rules defined earlier
-    for v in draw(st.permutations(state)):
-        updates[v] = _bind(draw(_SHAPES), plain + [Var(u, True) for u in updates])
-    return SystemSpec(tuple(state), tuple(inputs), updates,
-                      {v: draw(_DOMAINS) for v in state},
-                      {u: draw(_DOMAINS) for u in inputs},
-                      draw(st.integers(0, 1000)))
-
-
 @settings(max_examples=200, deadline=None)
-@given(_systems())
+@given(systems())
 def test_print_parse_round_trip_generated_systems(spec):
     printed = print_system(spec)
     again = parse_system(printed)
@@ -414,6 +368,80 @@ def test_compiled_successors_without_inputs():
 # primed references in any position, and systems without state variables,
 # which random_system_source never draws
 @settings(max_examples=100, deadline=None)
-@given(_systems())
+@given(systems())
 def test_compiled_successors_match_eval_point_generated_systems(spec):
     _assert_compiled_matches_oracle(spec)
+
+
+# ----------------------------------------------------------------- lowering
+
+
+def test_lower_rules_layout():
+    spec = parse_system("state a, b; input u; a' = !a & u; b' = a' nor 1;"
+                        "init a = 0; init b = 0; in u = {0,1};")
+    names, code = lower_rules(spec)
+    assert names == ("a", "b", "u", "a'", "b'", "0", "1", "%0", "%1", "%3")
+    assert code == [(7, "not", 0, None), (8, "and", 7, 2), (3, "copy", 8, None),
+                    (9, "nor", 3, 6), (4, "copy", 9, None)]
+
+
+def test_lower_rules_unbound_names():
+    # specs built by hand skip the parser's checks: names eval_point would
+    # find unbound, and a state variable without a rule
+    for updates in ({"a": Var("zz"), "b": Var("a")}, {"a": Var("b", True), "b": Var("a")},
+                    {"a": Not(Var("a", True)), "b": Var("a")}, {"a": Var("b")}):
+        spec = SystemSpec(("a", "b"), (), updates, {"a": (0,), "b": (0,)}, {})
+        with pytest.raises(EvalError):
+            lower_rules(spec)
+
+
+def _lowered_successors(spec, word, assignments):
+    """Successor words from lower_rules' code, run on bits with the bit
+    functions that eval_point uses."""
+    names, code = lower_rules(spec)
+    ops = {"copy": lambda a, b: a, "not": lambda a, b: 1 - a, **_BIT_OPS}
+    n_x, first_next = spec.n_x, spec.n_x + spec.n_u
+    out = set()
+    for values in assignments:
+        env = [word >> i & 1 for i in range(n_x)] + list(values) + [0] * (len(names) - first_next)
+        env[names.index("1")] = 1
+        for dst, op, a, b in code:
+            env[dst] = ops[op](env[a], None if b is None else env[b])
+        out.add(sum(bit << i for i, bit in enumerate(env[first_next:first_next + n_x])))
+    return out
+
+
+def _assert_lowered_matches_oracle(spec):
+    assignments = list(itertools.product((0, 1), repeat=spec.n_u))
+    for word in range(1 << spec.n_x):
+        for a in assignments:
+            assert _lowered_successors(spec, word, [a]) == _oracle_successors(spec, word, [a])
+
+
+def test_lowered_rules_match_eval_point_on_random_systems():
+    rng = random.Random(67)
+    for _ in range(200):
+        src = random_system_source(rng, rng.randint(1, 4), rng.randint(0, 3),
+                                   rng.randint(1, 4))
+        _assert_lowered_matches_oracle(parse_system(src))
+
+
+def test_lower_rules_chain_deeper_than_recursion_limit():
+    # u ^ u ^ ... ^ x with an odd number of u's is u ^ x, which eval_point
+    # can evaluate where the chain itself is too deep for it
+    def spec(chain):
+        return parse_system(f"state x, y; input u; x' = {chain}; y' = x' & !({chain});"
+                            "init x = {0,1}; init y = 0; in u = {0,1};")
+
+    deep = spec(" ^ ".join(["u"] * 1999 + ["x"]))
+    assert len(lower_rules(deep)[1]) == 1999 + 1 + 1999 + 2 + 1
+    for word in range(4):
+        for u in (0, 1):
+            assert (_lowered_successors(deep, word, [(u,)])
+                    == _oracle_successors(spec("u ^ x"), word, [(u,)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_lowered_rules_match_eval_point_generated_systems(spec):
+    _assert_lowered_matches_oracle(spec)

@@ -1,11 +1,15 @@
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logzono import zonotope
 from logzono.casestudies import intersection_system
 from logzono.dsl import (And, Const, Nand, Nor, Not, Or, Var, Xnor, Xor,
-                         eval_point, parse_system)
+                         eval_point, eval_zonotope, parse_system)
 from logzono.errors import CapacityError, UsageError
 from logzono.gf2 import BitVec
 from logzono.reach import (ReachResult, StepRecord, check_containment,
@@ -14,6 +18,7 @@ from logzono.zonotope import (LogicalZonotope, enclose_points, evaluate,
                               full_set, mink_and, mink_nand, mink_nor,
                               mink_not, mink_or, mink_xnor, mink_xor, reduce,
                               singleton)
+from tests_util_strategies import systems
 from tests_util_systems import LFSR4_SOURCE, random_system_source
 
 
@@ -196,9 +201,10 @@ def _collapse(z):
     return LogicalZonotope(z.center, ())
 
 
-def _plain_zonotope_reach(sys_, n):
-    """Reference: raw ops within a step, one normalize at its end, every
-    step computed (no fixed-point stop); (k, var_sets, size, joint, zonos)."""
+def _plain_zonotope_reach(sys_, n, rule=_raw_eval):
+    """Reference: `rule` evaluates each update (raw ops by default, or
+    `eval_zonotope`), one normalize at the end of a step, every step
+    computed (no fixed-point stop); (k, var_sets, size, joint, zonos)."""
     def domain(bits):
         return reduce(enclose_points([BitVec(1, b) for b in bits]))
 
@@ -209,7 +215,7 @@ def _plain_zonotope_reach(sys_, n):
             env = dict(state)
             env.update((u, domain(d)) for u, d in sys_.inputs.items())
             for v, e in sys_.updates.items():
-                env[v + "'"] = _raw_eval(e, env)
+                env[v + "'"] = rule(e, env)
             state = {v: _collapse(env[v + "'"]) for v in sys_.state_vars}
         var_sets = {v: tuple(p.word for p in evaluate(state[v]))
                     for v in sys_.state_vars}
@@ -238,6 +244,45 @@ def test_zonotope_reach_matches_plain_step_loop():
         assert _records(rz) == _plain_zonotope_reach(sys_, n), src
         stopped += any(s.time_s == 0.0 for s in rz.steps[1:])
     assert stopped > 0          # the fixed-point stop was exercised
+
+
+def test_zonotope_reach_matches_eval_zonotope_on_pool_sized_systems():
+    # the benchmark's random-system pool: 8-14 states, 0-2 inputs, depth 2
+    rng = random.Random(1230)
+    for _ in range(25):
+        src = random_system_source(rng, rng.randint(8, 14), rng.randint(0, 2), 2)
+        sys_ = parse_system(src)
+        assert _records(reach(sys_, 30, "zonotope")) == _plain_zonotope_reach(
+            sys_, 30, eval_zonotope), src
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(), st.integers(0, 8))
+def test_zonotope_reach_matches_eval_zonotope_generated_systems(sys_, n):
+    assert _records(reach(sys_, n, "zonotope")) == _plain_zonotope_reach(sys_, n, eval_zonotope)
+
+
+def test_zonotope_reach_fills_its_tables_from_mink_ops(monkeypatch):
+    # x & u with x = 0 is {0}; a wrong mink_and that answers {1} must show
+    # in the next call's records, so no table outlives its call
+    sys_ = parse_system("state x; input u; x' = x & u; init x = 0; in u = {0,1};")
+    assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (0,)}
+    monkeypatch.setattr(zonotope, "mink_and", lambda a, b: singleton(BitVec(1, 1)))
+    assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (1,)}
+    monkeypatch.undo()
+    assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (0,)}
+
+
+def test_zonotope_reach_rule_deeper_than_recursion_limit():
+    # the rules are lowered without recursion; 899 and 1199 ones XOR to 1
+    def chain_system(terms):
+        chain = " ^ ".join(["u"] * (terms - 1) + ["x"])
+        return parse_system(f"state x; input u; x' = {chain}; init x = 0; in u = 1;")
+
+    assert sys.getrecursionlimit() < 1200
+    deep = _records(reach(chain_system(1200), 3, "zonotope"))
+    assert deep == _records(reach(chain_system(900), 3, "zonotope"))
+    assert [r[1] for r in deep] == [{"x": (0,)}, {"x": (1,)}, {"x": (0,)}, {"x": (1,)}]
 
 
 def test_zono_records_list_the_values_evaluate_gives():
