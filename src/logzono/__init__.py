@@ -22,8 +22,8 @@ from .zonotope import (DEFAULT_GAMMA_CAP, LogicalZonotope, contains,
                        mink_and, mink_nand, mink_nor, mink_not, mink_or,
                        mink_xnor, mink_xor, reduce, singleton)
 from .matrix_zonotope import LogicalMatrixZonotope, evaluate_matrix, mink_stp
-from .dsl import (SystemSpec, compile_successors, eval_point, eval_zonotope,
-                  lower_rules, parse_system, print_expr, print_system)
+from .dsl import (SystemSpec, eval_point, eval_zonotope, lower_rules,
+                  parse_system, print_expr, print_system)
 from .reach import (ContainmentReport, ReachResult, StepRecord,
                     check_containment, exact_reach, reach)
 from .casestudies import (CipherInstance, LfsrSpec, encrypt,
@@ -40,7 +40,7 @@ __all__ = [
     "LogicalMatrixZonotope", "LogicalZonotope", "LogzonoError",
     "ParseError", "ReachResult", "SearchFailed", "StepRecord",
     "SystemSpec", "UnknownIdentifierError", "UsageError",
-    "check_containment", "compile_successors", "contains", "effective_cap",
+    "check_containment", "contains", "effective_cap",
     "enclose_points", "encrypt", "eval_point", "eval_zonotope", "evaluate",
     "evaluate_matrix", "exact_reach", "from_columns",
     "full_set", "gf2_matmul", "gf2_matvec", "gf2_solve", "identity",

@@ -63,6 +63,10 @@ class CipherInstance:
     def __post_init__(self):
         if len(self.message) != len(self.cipher):
             raise DimensionError("message and cipher lengths differ")
+        for name in ("message", "cipher"):
+            for i, bit in enumerate(getattr(self, name)):
+                if type(bit) is not int or bit not in (0, 1):
+                    raise ValueError(f"{name}[{i}] must be the int 0 or 1, got {bit!r}")
 
     @property
     def l_m(self):

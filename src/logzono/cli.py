@@ -376,8 +376,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except RecursionError as e:
         # input nested past the recursion limit: parentheses for the DSL
-        # parser, a rule for the explicit backend's compiled rules, or a
-        # JSON file for json.load
+        # parser, or a JSON file for json.load
         print(f"error: input nested too deeply: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,19 +23,14 @@ line comment.
 Each binary operator is defined once: a `Binary` subclass carrying its op
 name ("xor", "and", "or", "nand", "nor", "xnor"), placed in `_PRECEDENCE`
 under its token. The parser and printer read that table; `eval_point`
-maps the op name to a bit function (`compile_successors` uses the same
-ones) and `eval_zonotope` to the zonotope module's `mink_<op>`.
-
-`compile_successors` turns a system's rules into one function that maps
-a state word and a list of input assignments to the set of successor
-words. The explicit reach backend builds it once per `reach` call.
-`eval_point` stays the reference that the compiled function is tested
-against.
+maps the op name to a bit function (`_BIT_OPS`) and `eval_zonotope` to
+the zonotope module's `mink_<op>`.
 
 `lower_rules` turns a system's rules into straight-line instructions over
-numbered slots, without recursion. The zonotope reach backend runs them
-on scalar zonotope codes. `eval_zonotope` stays the reference that
-backend is tested against, and is the evaluator for zonotopes of any
+numbered slots, without recursion. Both reach backends run them: the
+zonotope backend on scalar zonotope codes, the explicit backend on bits.
+`eval_point` and `eval_zonotope` stay the references those backends are
+tested against, and `eval_zonotope` is the evaluator for zonotopes of any
 dimension.
 """
 
@@ -405,57 +400,6 @@ def eval_zonotope(e: BoolExpr, env: Mapping[str, "zn.LogicalZonotope"]) -> "zn.L
             mink = getattr(zn, "mink_" + e.op)
             return zn.scalar_normalize(mink(eval_zonotope(a, env), eval_zonotope(b, env)))
     raise EvalError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------- compiler
-
-
-def _closure(e: BoolExpr, slots: Mapping[str, int]):
-    """e as a function of one list of bits, variable `name` at `slots[name]`
-    (primed names as "name'"), with `eval_point`'s bit functions."""
-    match e:
-        case Const(v):
-            return lambda env: v
-        case Var(name, primed):
-            return operator.itemgetter(slots[name + "'" if primed else name])
-        case Not(a):
-            f = _closure(a, slots)
-            return lambda env: 1 - f(env)
-        case Binary(a, b):
-            fa, fb, op = _closure(a, slots), _closure(b, slots), _BIT_OPS[e.op]
-            return lambda env: op(fa(env), fb(env))
-    raise EvalError(f"not an expression node: {e!r}")
-
-
-def compile_successors(spec: SystemSpec):
-    """Compile spec's update rules once into one function,
-    `successors(word, assignments) -> set`.
-
-    `word` packs a state, `state_vars[i]` at bit i; each assignment is a
-    tuple of input bits in `input_vars` order. The result is the set of
-    next-state words, one per assignment, with the rules applied in
-    declaration order as `eval_point` applies them. Each rule becomes a
-    tree of closures over one list of bits (state, then inputs, then next
-    state), so the AST is walked once per call to this function, not once
-    per point.
-    """
-    names = (*spec.state_vars, *spec.input_vars, *(v + "'" for v in spec.state_vars))
-    slots = {name: i for i, name in enumerate(names)}
-    rules = [(slots[v + "'"], _closure(e, slots)) for v, e in spec.updates.items()]
-    n_x, first_next = spec.n_x, spec.n_x + spec.n_u
-    pad = [0] * n_x
-
-    def successors(word: int, assignments) -> set:
-        state = [word >> i & 1 for i in range(n_x)]
-        out = set()
-        for values in assignments:
-            env = [*state, *values, *pad]
-            for k, f in rules:
-                env[k] = f(env)
-            out.add(sum(bit << i for i, bit in enumerate(env[first_next:])))
-        return out
-
-    return successors
 
 
 # ----------------------------------------------------------------- lowering

@@ -38,7 +38,7 @@ class BitVec:
 
     @classmethod
     def from_text(cls, text: str) -> "BitVec":
-        if not all(ch in "01" for ch in text):
+        if not isinstance(text, str) or not all(ch in "01" for ch in text):
             raise ValueError(f"not a bitstring: {text!r}")
         word = 0
         for pos, ch in enumerate(text):

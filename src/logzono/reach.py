@@ -1,25 +1,28 @@
 """N-step reachability for parsed Boolean systems.
 
 `reach` runs one step loop for both backends. Each backend supplies an
-initial state, a one-step advance and a record builder:
+initial state, a one-step advance and a record builder. Both lower the
+rules once per call with `dsl.lower_rules` and step on one program: each
+instruction is `(dst, table, a, b)`, and a step runs
+`env[dst] = table[env[a] << 2 | env[b]]` over it. A unary op reads slot
+"0" as b.
 
 * "zonotope": the state is one scalar logical zonotope per state
   variable, held as its code, center | (has a generator) << 1. A
   normalized scalar zonotope is one of those four objects, and every
   Minkowski op's result code depends only on its operands' codes
   (`zonotope.scalar_normalize`). Initial and input sets are built with
-  enclose_points and reduced, then coded. The rules are lowered once per
-  call by `dsl.lower_rules`, and a step runs its instructions on a list of
-  codes, one table lookup per op. Each op has one table per call; an
-  entry is filled the first time it is needed, by applying the op's
+  enclose_points and reduced, then coded. Each op has one table per call;
+  an entry is filled the first time it is needed, by applying the op's
   `zonotope.mink_<op>` to the representative zonotopes and normalizing.
   Records map codes back to the four representatives (`_SCALARS`).
 * "explicit": ground-truth enumeration of the joint reachable set,
   R_{k+1} = { f(x,u) : x in R_k, u in U }. The state is a set of words
-  (state_vars[i] at bit i). f is compiled once per call by
-  `dsl.compile_successors` and applied once per distinct state word, to
-  every input assignment at once; the successor sets are cached for the
-  rest of the call.
+  (state_vars[i] at bit i). The tables hold `eval_point`'s bit functions,
+  built once at import, so the ground truth shares no code with the
+  Minkowski ops it checks. The program runs once per distinct state word
+  and input assignment; the successor sets are cached for the rest of the
+  call.
 
 Input domains are the same at every step, so a step whose state equals
 the previous one is a fixed point. The loop then stops computing: the
@@ -27,8 +30,8 @@ remaining steps share the last computed record's var_sets, zonos and
 joint objects, the first of them keeps its measured time and the rest get
 time_s 0.0.
 
-Timing: step 0's time_s covers the backend's setup (input zonotopes, or
-the budget check and compiling the rules) and the initial record; step
+Timing: step 0's time_s covers the backend's setup (lowering the rules,
+plus the input zonotopes or the budget check) and the initial record; step
 k's covers its advance, the fixed-point test and its record. total_time_s
 covers the whole call.
 
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import zonotope
-from .dsl import SystemSpec, compile_successors, lower_rules
+from .dsl import _BIT_OPS, SystemSpec, lower_rules
 from .errors import CapacityError, UsageError
 from .explicit import ExplicitSet
 from .gf2 import BitVec
@@ -145,6 +148,51 @@ _SCALARS = tuple(LogicalZonotope(BitVec(1, c & 1), (BitVec(1, 1),) if c & 2 else
                  for c in range(4))
 _VALUES = ((0,), (1,), (0, 1), (0, 1))   # code -> the values `evaluate` gives
 
+# A table maps operand values a, b (codes or bits) to the result, at a << 2 | b.
+# A unary op reads slot "0" as b, which holds 0 in both backends.
+_COPY = tuple(key >> 2 for key in range(16))
+# The explicit backend's tables: eval_point's bit functions, never the
+# Minkowski ops it checks. Only entries with a, b in {0, 1} are read.
+_BIT_TABLES = {"copy": _COPY, "not": tuple(1 - (key >> 2) for key in range(16)),
+               **{op: tuple(f(key >> 2, key & 3) for key in range(16))
+                  for op, f in _BIT_OPS.items()}}
+
+
+class _MinkTable(dict):
+    """One op's result code by operand codes, each entry filled on first use
+    by applying the op's `zonotope.mink_<op>` to the representatives and
+    normalizing."""
+
+    def __init__(self, op: str):
+        super().__init__()
+        self.op = op
+
+    def __missing__(self, key: int) -> int:
+        # looked up on the module per entry, not bound at import, so a
+        # tracer that replaces zonotope's functions sees every fill
+        mink = getattr(zonotope, "mink_" + self.op)
+        a, b = _SCALARS[key >> 2], _SCALARS[key & 3]
+        z = mink(a) if self.op == "not" else mink(a, b)
+        self[key] = c = _code(zonotope.scalar_normalize(z))
+        return c
+
+
+def _lowered(sys: SystemSpec, tables: dict):
+    """(env, program): lower_rules' slots, with slot "1" holding 1 (bit 1,
+    or code 1 = {1}) and every other slot 0, and its code as
+    (dst, tables[op], a, b)."""
+    names, code = lower_rules(sys)
+    env = [0] * len(names)
+    env[names.index("1")] = 1
+    zero = names.index("0")
+    return env, [(dst, tables[op], a, zero if b is None else b) for dst, op, a, b in code]
+
+
+def _run(program, env: list) -> None:
+    """One step of lowered code on env, in place."""
+    for dst, table, a, b in program:
+        env[dst] = table[env[a] << 2 | env[b]]
+
 
 def _code(z: LogicalZonotope) -> int:
     return z.center.word | any(g.word for g in z.generators) << 1
@@ -156,33 +204,15 @@ def _domain_code(domain) -> int:
 
 def _zonotope_backend(sys: SystemSpec):
     """(initial state, advance, record) with tuples of scalar zonotope codes."""
-    names, code = lower_rules(sys)
+    tables = {"copy": _COPY, **{op: _MinkTable(op) for op in ("not", *_BIT_OPS)}}
+    env, program = _lowered(sys, tables)
     n_x, first_next = sys.n_x, sys.n_x + sys.n_u
-    env = [0] * len(names)
     for i, u in enumerate(sys.input_vars, n_x):
         env[i] = _domain_code(sys.inputs[u])
-    env[names.index("1")] = 1      # slot "0" holds code 0 already
-    # op -> result code by operand codes (a << 2 | b), filled on first use
-    tables = {op: [None] * 16 for _, op, _, _ in code if op != "copy"}
-
-    def fill(op: str, key: int) -> int:
-        # looked up on the module per entry, not bound at import, so a
-        # tracer that replaces zonotope's functions sees every fill
-        mink = getattr(zonotope, "mink_" + op)
-        a, b = _SCALARS[key >> 2], _SCALARS[key & 3]
-        z = mink(a) if op == "not" else mink(a, b)
-        tables[op][key] = c = _code(zonotope.scalar_normalize(z))
-        return c
 
     def advance(state: tuple) -> tuple:
         env[:n_x] = state
-        for dst, op, a, b in code:
-            if op == "copy":
-                env[dst] = env[a]
-                continue
-            key = env[a] << 2 | (0 if b is None else env[b])
-            c = tables[op][key]
-            env[dst] = fill(op, key) if c is None else c
+        _run(program, env)
         return tuple(env[first_next:first_next + n_x])
 
     def record(k: int, state: tuple) -> StepRecord:
@@ -200,15 +230,25 @@ def _explicit_backend(sys: SystemSpec, state_budget: int):
     if sys.n_x > state_budget:
         raise CapacityError(
             f"n_x={sys.n_x} exceeds explicit state budget {state_budget}")
-    successors = compile_successors(sys)
+    env, program = _lowered(sys, _BIT_TABLES)
+    n_x, first_next = sys.n_x, sys.n_x + sys.n_u
     assignments = list(itertools.product(*(sys.inputs[u] for u in sys.input_vars)))
     succ_cache = {}                # state word -> its successor words
+
+    def successors(word: int) -> set:
+        env[:n_x] = [word >> i & 1 for i in range(n_x)]
+        out = set()
+        for values in assignments:
+            env[n_x:first_next] = values
+            _run(program, env)
+            out.add(sum(bit << i for i, bit in enumerate(env[first_next:first_next + n_x])))
+        return out
 
     def advance(words: set) -> set:
         nxt = set()
         for w in words:
             if w not in succ_cache:
-                succ_cache[w] = successors(w, assignments)
+                succ_cache[w] = successors(w)
             nxt |= succ_cache[w]
         return nxt
 

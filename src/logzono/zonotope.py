@@ -84,9 +84,13 @@ class LogicalZonotope:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LogicalZonotope":
+        if not isinstance(d, dict):
+            raise ValueError(f"a zonotope is a JSON object, got {type(d).__name__}")
         c = BitVec.from_text(d["center"])
         if c.n != d["dim"]:
             raise DimensionError("dim field does not match center length")
+        if not isinstance(d["generators"], list):
+            raise ValueError(f"generators must be a list of bitstrings, got {d['generators']!r}")
         return cls(c, tuple(BitVec.from_text(s) for s in d["generators"]))
 
     def __repr__(self):

@@ -84,19 +84,19 @@ def test_reach_missing_file(capsys):
 
 
 def test_reach_rule_deeper_than_recursion_limit(tmp_path, capsys):
-    # the chain parses without recursion and the zonotope backend runs on
-    # its lowered instructions; the explicit backend's compiled closures
-    # recurse through the AST: an input error there, not a traceback
+    # the chain parses without recursion, and both backends run on its
+    # lowered instructions
     chain = " & ".join(["u"] * (sys.getrecursionlimit() + 200) + ["x"])
     deep = tmp_path / "deep.lbn"
     deep.write_text(f"state x; input u; x' = {chain};"
                     "init x = {0,1}; in u = {0,1}; horizon 3;")
-    assert run(["reach", str(deep), "--backend", "zono", "--out", "json"]) == cli.EXIT_OK
-    steps = json.loads(capsys.readouterr().out)["zonotope"]["steps"]
-    assert [s["var_sets"] for s in steps] == [{"x": [0, 1]}] * 4
-    for backend in ("exact", "both"):
-        assert run(["reach", str(deep), "--backend", backend]) == cli.EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: input nested too deeply")
+    for backend in ("zono", "exact", "both"):
+        assert run(["reach", str(deep), "--backend", backend, "--out", "json"]) == cli.EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        for result in cli._backend_list(backend):
+            steps = out[result]["steps"]
+            assert [s["var_sets"] for s in steps] == [{"x": [0, 1]}] * 4
+    assert out["containment"]["ok"]       # the last run, --backend both
 
 
 def test_json_deeper_than_recursion_limit(tmp_path, capsys):
@@ -135,6 +135,18 @@ def test_lfsr_search_failure_exit_code(tmp_path, capsys):
         "spec": LfsrSpec(4, (4, 3), (4,)).to_json_dict(),
         "message": [0] * 16, "cipher": [1] * 16}))
     assert run(["lfsr", "--instance", str(inst)]) == 3
+
+
+@pytest.mark.parametrize("message, cipher, bad", [
+    ([0, 2, 0, 0], [0] * 4, "message[1]"), ([-1, 0, 0, 0], [0] * 4, "message[0]"),
+    ([0] * 4, [0, 0, 0, "1"], "cipher[3]"), ([0] * 4, [0, True, 0, 0], "cipher[1]"),
+])
+def test_lfsr_instance_bits_are_checked(tmp_path, capsys, message, cipher, bad):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"spec": LfsrSpec(4, (4, 3), (4,)).to_json_dict(),
+                                "message": message, "cipher": cipher}))
+    assert run(["lfsr", "--instance", str(inst)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {bad} must be the int 0 or 1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,6 +221,19 @@ def test_contains_true_false(zono_files, capsys):
 def test_contains_bad_point(zono_files, capsys):
     a, _ = zono_files
     assert run(["contains", a, "0x"]) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"dim": 3, "center": 101, "generators": []},
+    {"dim": 1, "center": "1", "generators": [1]},
+    {"dim": 1, "center": "1", "generators": None},
+    [1, 2],
+])
+def test_contains_malformed_zonotope_json(tmp_path, capsys, payload):
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps(payload))
+    assert run(["contains", str(z), "101"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_golden_writes_canonical_json(system_file, tmp_path, capsys):

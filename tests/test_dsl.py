@@ -1,18 +1,20 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
 from logzono.dsl import (_BIT_OPS, And, Const, Nand, Nor, Not, Or,
-                         SystemSpec, Var, Xnor, Xor, compile_successors,
-                         eval_point, eval_zonotope, lower_rules, parse_system,
-                         print_expr, print_system)
+                         SystemSpec, Var, Xnor, Xor, eval_point,
+                         eval_zonotope, lower_rules, parse_system, print_expr,
+                         print_system)
 from logzono.errors import (CyclicReferenceError, DslSyntaxError,
                             DuplicateRuleError, EvalError,
                             UnknownIdentifierError)
 from logzono.explicit import ExplicitSet, oracle_not, oracle_op
 from logzono.gf2 import BitVec
+from logzono.reach import reach
 from logzono.zonotope import (LogicalZonotope, evaluate, mink_and, mink_nand,
                               mink_nor, mink_or, mink_xnor, mink_xor,
                               singleton)
@@ -300,7 +302,7 @@ def test_printer_minimal_parens():
     assert print_expr(e) == "!a & b ^ c | a"
 
 
-# ------------------------------------------------- compiled successors
+# ------------------------------------------- explicit reach successors
 
 
 def _oracle_successors(spec, word, assignments):
@@ -315,15 +317,24 @@ def _oracle_successors(spec, word, assignments):
     return out
 
 
+def _explicit_successors(spec, word, input_domains):
+    """Successor words from one step of reach(..., "explicit"), started
+    from the one state `word` with these input domains."""
+    init = {v: (word >> i & 1,) for i, v in enumerate(spec.state_vars)}
+    one = replace(spec, init=init, inputs=dict(zip(spec.input_vars, input_domains)))
+    return reach(one, 1, "explicit").steps[1].joint.words()
+
+
 def _assert_compiled_matches_oracle(spec):
     """Every state word x every input assignment, one at a time and all
     together."""
-    successors = compile_successors(spec)
     assignments = list(itertools.product((0, 1), repeat=spec.n_u))
     for word in range(1 << spec.n_x):
         for a in assignments:
-            assert successors(word, [a]) == _oracle_successors(spec, word, [a]), (word, a)
-        assert successors(word, assignments) == _oracle_successors(spec, word, assignments)
+            assert (_explicit_successors(spec, word, [(bit,) for bit in a])
+                    == _oracle_successors(spec, word, [a])), (word, a)
+        assert (_explicit_successors(spec, word, [(0, 1)] * spec.n_u)
+                == _oracle_successors(spec, word, assignments))
 
 
 def test_compiled_successors_match_eval_point_on_random_systems():
@@ -362,7 +373,7 @@ def test_compiled_successors_without_inputs():
                         "init a = 0; init b = 0; init c = {0,1};")
     assert spec.n_u == 0
     _assert_compiled_matches_oracle(spec)
-    assert compile_successors(spec)(0, [()]) == {0b111}
+    assert _explicit_successors(spec, 0, []) == {0b111}
 
 
 # primed references in any position, and systems without state variables,

@@ -274,15 +274,17 @@ def test_zonotope_reach_fills_its_tables_from_mink_ops(monkeypatch):
 
 
 def test_zonotope_reach_rule_deeper_than_recursion_limit():
-    # the rules are lowered without recursion; 899 and 1199 ones XOR to 1
+    # both backends run the rules lowered without recursion; 899 and 1199
+    # ones XOR to 1
     def chain_system(terms):
         chain = " ^ ".join(["u"] * (terms - 1) + ["x"])
         return parse_system(f"state x; input u; x' = {chain}; init x = 0; in u = 1;")
 
     assert sys.getrecursionlimit() < 1200
-    deep = _records(reach(chain_system(1200), 3, "zonotope"))
-    assert deep == _records(reach(chain_system(900), 3, "zonotope"))
-    assert [r[1] for r in deep] == [{"x": (0,)}, {"x": (1,)}, {"x": (0,)}, {"x": (1,)}]
+    for backend in ("zonotope", "explicit"):
+        deep = _records(reach(chain_system(1200), 3, backend))
+        assert deep == _records(reach(chain_system(900), 3, backend)), backend
+        assert [r[1] for r in deep] == [{"x": (0,)}, {"x": (1,)}, {"x": (0,)}, {"x": (1,)}]
 
 
 def test_zono_records_list_the_values_evaluate_gives():
