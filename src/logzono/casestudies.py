@@ -32,7 +32,12 @@ class LfsrSpec:
     output: tuple = (60, 59)
 
     def __post_init__(self):
-        for taps in (self.feedback, self.output):
+        if type(self.length) is not int:
+            raise ValueError(f"spec length must be an int, got {self.length!r}")
+        for name in ("feedback", "output"):
+            taps = getattr(self, name)
+            if any(type(t) is not int for t in taps):
+                raise ValueError(f"spec {name} taps must be ints, got {list(taps)!r}")
             if not taps or any(not 1 <= t <= self.length for t in taps):
                 raise ValueError(f"taps {taps} out of range 1..{self.length}")
 
@@ -42,7 +47,21 @@ class LfsrSpec:
 
     @classmethod
     def from_json_dict(cls, d):
+        check_json_object(d, "spec", ("length", "feedback", "output"))
+        for name in ("feedback", "output"):
+            if not isinstance(d[name], list):
+                raise ValueError(f"spec {name} must be a list of taps, got {d[name]!r}")
         return cls(d["length"], tuple(d["feedback"]), tuple(d["output"]))
+
+
+def check_json_object(d, what: str, fields: tuple) -> None:
+    """Raise ValueError unless d is a JSON object holding every field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object with {', '.join(fields)}, "
+                         f"got {type(d).__name__}")
+    for name in fields:
+        if name not in d:
+            raise ValueError(f"{what} has no {name!r} field")
 
 
 def scaled_spec(length: int) -> LfsrSpec:

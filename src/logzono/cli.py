@@ -137,6 +137,10 @@ def cmd_lfsr(args) -> int:
     spec = _spec_from_args(args)
     if args.instance:
         d = _load_json(args.instance)
+        casestudies.check_json_object(d, "instance", ("spec", "message", "cipher"))
+        for name in ("message", "cipher"):
+            if not isinstance(d[name], list):
+                raise ValueError(f"{name} must be a list of bits, got {d[name]!r}")
         spec = casestudies.LfsrSpec.from_json_dict(d["spec"])
         inst = casestudies.CipherInstance(tuple(d["message"]),
                                           tuple(d["cipher"]))

@@ -12,17 +12,23 @@ instruction is `(dst, table, a, b)`, and a step runs
   normalized scalar zonotope is one of those four objects, and every
   Minkowski op's result code depends only on its operands' codes
   (`zonotope.scalar_normalize`). Initial and input sets are built with
-  enclose_points and reduced, then coded. Each op has one table per call;
-  an entry is filled the first time it is needed, by applying the op's
-  `zonotope.mink_<op>` to the representative zonotopes and normalizing.
-  Records map codes back to the four representatives (`_SCALARS`).
+  enclose_points and reduced, then coded. Each op's table and the domain
+  codes live for the process: an entry is filled the first time any call
+  needs it, by applying the op's `zonotope.mink_<op>` to the representative
+  zonotopes and normalizing, or by enclosing and reducing the domain. Each
+  call looks those functions up again and keeps a memo only while they are
+  the very objects that filled it (every table depends on all the
+  `mink_<op>`s, which call each other), so a patched or traced function
+  gets an empty memo filled through it. Records map codes back to the four
+  representatives (`_SCALARS`).
 * "explicit": ground-truth enumeration of the joint reachable set,
   R_{k+1} = { f(x,u) : x in R_k, u in U }. The state is a set of words
   (state_vars[i] at bit i). The tables hold `eval_point`'s bit functions,
   built once at import, so the ground truth shares no code with the
   Minkowski ops it checks. The program runs once per distinct state word
   and input assignment; the successor sets are cached for the rest of the
-  call.
+  call. A record reads each variable's values off the OR and the AND of
+  the words.
 
 Input domains are the same at every step, so a step whose state equals
 the previous one is a fixed point. The loop then stops computing: the
@@ -45,7 +51,9 @@ not settled by anything in this repository.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -147,6 +155,7 @@ def reach(sys: SystemSpec, n: int, backend: str = "zonotope", *,
 _SCALARS = tuple(LogicalZonotope(BitVec(1, c & 1), (BitVec(1, 1),) if c & 2 else ())
                  for c in range(4))
 _VALUES = ((0,), (1,), (0, 1), (0, 1))   # code -> the values `evaluate` gives
+_PRESENT = ((), (0,), (1,), (0, 1))      # (0 present) | (1 present) << 1 -> values
 
 # A table maps operand values a, b (codes or bits) to the result, at a << 2 | b.
 # A unary op reads slot "0" as b, which holds 0 in both backends.
@@ -158,23 +167,41 @@ _BIT_TABLES = {"copy": _COPY, "not": tuple(1 - (key >> 2) for key in range(16)),
                   for op, f in _BIT_OPS.items()}}
 
 
-class _MinkTable(dict):
-    """One op's result code by operand codes, each entry filled on first use
-    by applying the op's `zonotope.mink_<op>` to the representatives and
-    normalizing."""
+class _Memo(dict):
+    """compute(key) by key, each entry computed on first use; fns are the
+    function objects compute calls, the memo's validity key."""
 
-    def __init__(self, op: str):
+    def __init__(self, compute, fns: tuple):
         super().__init__()
-        self.op = op
+        self.compute, self.fns = compute, fns
 
-    def __missing__(self, key: int) -> int:
-        # looked up on the module per entry, not bound at import, so a
-        # tracer that replaces zonotope's functions sees every fill
-        mink = getattr(zonotope, "mink_" + self.op)
-        a, b = _SCALARS[key >> 2], _SCALARS[key & 3]
-        z = mink(a) if self.op == "not" else mink(a, b)
-        self[key] = c = _code(zonotope.scalar_normalize(z))
-        return c
+    def __missing__(self, key):
+        self[key] = value = self.compute(key)
+        return value
+
+
+_MEMOS = {}                        # name -> its one live _Memo
+
+
+def _memo(name: str, compute, fns: tuple) -> _Memo:
+    """The process-wide memo `name`, kept while it was made with the same
+    function objects as fns and replaced by one made with compute otherwise."""
+    memo = _MEMOS.get(name)
+    if memo is None or any(a is not b for a, b in zip(memo.fns, fns)):
+        memo = _MEMOS[name] = _Memo(compute, fns)
+    return memo
+
+
+def _mink_code(mink, normalize, key: int) -> int:
+    return _code(normalize(mink(_SCALARS[key >> 2], _SCALARS[key & 3])))
+
+
+def _not_code(mink, normalize, key: int) -> int:
+    return _code(normalize(mink(_SCALARS[key >> 2])))
+
+
+def _domain_code(enclose, reduce_, domain: tuple) -> int:
+    return _code(reduce_(enclose([BitVec(1, b) for b in domain])))
 
 
 def _lowered(sys: SystemSpec, tables: dict):
@@ -198,17 +225,25 @@ def _code(z: LogicalZonotope) -> int:
     return z.center.word | any(g.word for g in z.generators) << 1
 
 
-def _domain_code(domain) -> int:
-    return _code(reduce(enclose_points([BitVec(1, b) for b in domain])))
-
-
 def _zonotope_backend(sys: SystemSpec):
     """(initial state, advance, record) with tuples of scalar zonotope codes."""
-    tables = {"copy": _COPY, **{op: _MinkTable(op) for op in ("not", *_BIT_OPS)}}
+    # resolved per call, not bound at import, so a tracer or a test that
+    # replaces these functions gets memos filled through them. One op's
+    # function calls others' (mink_or is mink_nand of mink_nots), so every
+    # table is kept only while all of them are unchanged.
+    normalize = zonotope.scalar_normalize
+    minks = {op: getattr(zonotope, "mink_" + op) for op in ("not", *_BIT_OPS)}
+    fns = (normalize, *minks.values())
+    tables = {"copy": _COPY,
+              **{op: _memo(op, functools.partial(_not_code if op == "not" else _mink_code,
+                                                 mink, normalize), fns)
+                 for op, mink in minks.items()}}
+    domain_codes = _memo("domain", functools.partial(_domain_code, enclose_points, reduce),
+                         (enclose_points, reduce))
     env, program = _lowered(sys, tables)
     n_x, first_next = sys.n_x, sys.n_x + sys.n_u
     for i, u in enumerate(sys.input_vars, n_x):
-        env[i] = _domain_code(sys.inputs[u])
+        env[i] = domain_codes[tuple(sys.inputs[u])]
 
     def advance(state: tuple) -> tuple:
         env[:n_x] = state
@@ -221,7 +256,7 @@ def _zonotope_backend(sys: SystemSpec):
         return StepRecord(k, var_sets, n_x + free, 1 << free, 0.0,
                           zonos={v: _SCALARS[c] for v, c in zip(sys.state_vars, state)})
 
-    state = tuple(_domain_code(sys.init[v]) for v in sys.state_vars)
+    state = tuple(domain_codes[tuple(sys.init[v])] for v in sys.state_vars)
     return state, advance, record
 
 
@@ -254,7 +289,9 @@ def _explicit_backend(sys: SystemSpec, state_budget: int):
 
     def record(k: int, words: set) -> StepRecord:
         joint = ExplicitSet.from_words(sys.n_x, words)
-        var_sets = {v: tuple(sorted({w >> i & 1 for w in words}))
+        ones = functools.reduce(operator.or_, words, 0)       # bit i: some x_i = 1
+        zeros = ~functools.reduce(operator.and_, words, -1)   # bit i: some x_i = 0
+        var_sets = {v: _PRESENT[zeros >> i & 1 | (ones >> i & 1) << 1]
                     for i, v in enumerate(sys.state_vars)}
         size = sum(len(bits) for bits in var_sets.values())
         return StepRecord(k, var_sets, size, len(joint), 0.0, joint=joint)

@@ -149,6 +149,35 @@ def test_lfsr_instance_bits_are_checked(tmp_path, capsys, message, cipher, bad):
     assert capsys.readouterr().err.startswith(f"error: {bad} must be the int 0 or 1")
 
 
+_SPEC4 = {"length": 4, "feedback": [4, 3], "output": [4]}
+
+
+@pytest.mark.parametrize("instance, error", [
+    ([1], "instance must be a JSON object with spec, message, cipher, got list"),
+    ({"spec": _SPEC4, "cipher": [0] * 4}, "instance has no 'message' field"),
+    ({"spec": 4, "message": [0] * 4, "cipher": [0] * 4},
+     "spec must be a JSON object with length, feedback, output, got int"),
+    ({"spec": {"length": 4, "feedback": [4, 3]}, "message": [0] * 4, "cipher": [0] * 4},
+     "spec has no 'output' field"),
+    ({"spec": _SPEC4, "message": 5, "cipher": [0] * 4}, "message must be a list of bits, got 5"),
+    ({"spec": _SPEC4, "message": [0] * 4, "cipher": "0000"},
+     "cipher must be a list of bits, got '0000'"),
+    ({"spec": {**_SPEC4, "feedback": ["4", 3]}, "message": [0] * 4, "cipher": [0] * 4},
+     "spec feedback taps must be ints, got ['4', 3]"),
+    ({"spec": {**_SPEC4, "output": [True]}, "message": [0] * 4, "cipher": [0] * 4},
+     "spec output taps must be ints, got [True]"),
+    ({"spec": {**_SPEC4, "feedback": 4}, "message": [0] * 4, "cipher": [0] * 4},
+     "spec feedback must be a list of taps, got 4"),
+    ({"spec": {**_SPEC4, "length": "4"}, "message": [0] * 4, "cipher": [0] * 4},
+     "spec length must be an int, got '4'"),
+])
+def test_lfsr_instance_shape_errors_name_the_field(tmp_path, capsys, instance, error):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    assert run(["lfsr", "--instance", str(inst)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["lfsr", "--length", "0"], ["lfsr", "--length", "-3"], ["lfsr", "--length", "1"],
     ["lfsr", "--length", "2"], ["bench", "lfsr", "--lengths", "0"],

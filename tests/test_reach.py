@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import os
 import random
 import sys
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from logzono import zonotope
 from logzono.casestudies import intersection_system
 from logzono.dsl import (And, Const, Nand, Nor, Not, Or, Var, Xnor, Xor,
-                         eval_point, eval_zonotope, parse_system)
+                         SystemSpec, eval_point, eval_zonotope, parse_system)
 from logzono.errors import CapacityError, UsageError
 from logzono.gf2 import BitVec
 from logzono.reach import (ReachResult, StepRecord, check_containment,
@@ -20,6 +22,10 @@ from logzono.zonotope import (LogicalZonotope, enclose_points, evaluate,
                               singleton)
 from tests_util_strategies import systems
 from tests_util_systems import LFSR4_SOURCE, random_system_source
+
+REACH = importlib.import_module("logzono.reach")   # the package exports reach() under that name
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 def counter_system():
@@ -264,13 +270,70 @@ def test_zonotope_reach_matches_eval_zonotope_generated_systems(sys_, n):
 
 def test_zonotope_reach_fills_its_tables_from_mink_ops(monkeypatch):
     # x & u with x = 0 is {0}; a wrong mink_and that answers {1} must show
-    # in the next call's records, so no table outlives its call
+    # in the next call's records, so no table outlives the functions that
+    # filled it
     sys_ = parse_system("state x; input u; x' = x & u; init x = 0; in u = {0,1};")
     assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (0,)}
     monkeypatch.setattr(zonotope, "mink_and", lambda a, b: singleton(BitVec(1, 1)))
     assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (1,)}
     monkeypatch.undo()
     assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (0,)}
+
+
+def test_zonotope_reach_tables_outlive_the_call(monkeypatch):
+    # a counting mink_and gets a fresh table; the second call needs the
+    # same entries and finds them all filled
+    fills = []
+
+    def counting_and(a, b):
+        fills.append((a, b))
+        return mink_and(a, b)
+
+    sys_ = parse_system("state x, y; input u; x' = x & u; y' = y & x;"
+                        "init x = {0,1}; init y = 1; in u = {0,1};")
+    monkeypatch.setattr(zonotope, "mink_and", counting_and)
+    first = _records(reach(sys_, 5, "zonotope"))
+    assert fills
+    fills.clear()
+    assert _records(reach(sys_, 5, "zonotope")) == first
+    assert fills == []
+    monkeypatch.undo()
+    assert _records(reach(sys_, 5, "zonotope")) == first
+    # one memo per op and one for domain codes, however often they were replaced
+    assert sorted(REACH._MEMOS) == sorted(["and", "domain", "nand", "nor", "not",
+                                           "or", "xnor", "xor"])
+
+
+def test_zonotope_reach_refills_after_scalar_normalize_changes(monkeypatch):
+    # x ^ u with x = 0 and u = 1 is {1}; a normalize that widens every
+    # scalar to {0,1} must show in the next call, and its undo must too
+    sys_ = parse_system("state x; input u; x' = x ^ u; init x = 0; in u = 1;")
+    assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (1,)}
+    monkeypatch.setattr(zonotope, "scalar_normalize", lambda z: full_set(1))
+    assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (0, 1)}
+    monkeypatch.undo()
+    assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (1,)}
+
+
+def test_zonotope_reach_refills_ops_built_on_a_changed_op(monkeypatch):
+    # mink_nand is mink_not of mink_and: with x = 0 the nand is {1}, and
+    # a wrong mink_and that answers {1} makes it {0} from the next call on
+    sys_ = parse_system("state x; input u; x' = x nand u; init x = 0; in u = {0,1};")
+    assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (1,)}
+    monkeypatch.setattr(zonotope, "mink_and", lambda a, b: singleton(BitVec(1, 1)))
+    assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (0,)}
+    monkeypatch.undo()
+    assert reach(sys_, 1, "zonotope").steps[1].var_sets == {"x": (1,)}
+
+
+@pytest.mark.parametrize("name", ["enclose_points", "reduce"])
+def test_zonotope_reach_recodes_domains_after_their_functions_change(monkeypatch, name):
+    sys_ = parse_system("state x; input u; x' = x | u; init x = 0; in u = 0;")
+    assert [s.var_sets for s in reach(sys_, 1, "zonotope").steps] == [{"x": (0,)}] * 2
+    monkeypatch.setattr(REACH, name, lambda arg: full_set(1))
+    assert [s.var_sets for s in reach(sys_, 1, "zonotope").steps] == [{"x": (0, 1)}] * 2
+    monkeypatch.undo()
+    assert [s.var_sets for s in reach(sys_, 1, "zonotope").steps] == [{"x": (0,)}] * 2
 
 
 def test_zonotope_reach_rule_deeper_than_recursion_limit():
@@ -331,6 +394,36 @@ def _plain_explicit_reach(sys_, n):
 def _explicit_records(result):
     return [(s.k, s.var_sets, s.size, s.joint_count, s.joint.words())
             for s in result.steps]
+
+
+def _word_var_sets(result):
+    """Each step's values per variable, read off its joint words one by one."""
+    return [{v: tuple(sorted({w >> i & 1 for w in s.joint.words()}))
+             for i, v in enumerate(result.var_names)} for s in result.steps]
+
+
+def test_explicit_var_sets_match_joint_words_on_pool(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import reference
+    for src, _ in reference.random_pool():
+        rx = reach(parse_system(src), 30, "explicit")
+        assert [s.var_sets for s in rx.steps] == _word_var_sets(rx), src
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(), st.integers(0, 8))
+def test_explicit_var_sets_match_joint_words_generated_systems(sys_, n):
+    rx = reach(sys_, n, "explicit")
+    assert [s.var_sets for s in rx.steps] == _word_var_sets(rx)
+
+
+def test_explicit_var_sets_of_no_words_are_empty():
+    # only a hand-built spec has an empty domain; step 1 then has no words
+    sys_ = SystemSpec(("x", "y"), ("u",), {"x": Var("u"), "y": Var("y")},
+                      {"x": (0, 1), "y": (1,)}, {"u": ()})
+    rx = reach(sys_, 2, "explicit")
+    assert [s.var_sets for s in rx.steps] == [{"x": (0, 1), "y": (1,)},
+                                              {"x": (), "y": ()}, {"x": (), "y": ()}]
 
 
 def _assert_fixed_point_tail(r):
