@@ -2,11 +2,12 @@
 
 The LFSR search recovers a stream-cipher key from one message/ciphertext
 pair. The unknown key bits are the generators of one logical zonotope:
-each keystream cell is a center bit plus a mask over those shared
-generators, and the keystream is XOR-only, so propagation is exact. The
-ciphertext lies in the resulting zonotope exactly when some key produces
-it, and the GF(2) solve that tests this containment (`gf2.solve_words`,
-on rows packed straight from the cells) returns that key.
+each keystream cell is a mask over those shared generators, and the
+keystream is XOR-only, so propagation is exact. The ciphertext lies in
+the resulting zonotope exactly when some key produces it. One
+`gf2.echelon` per search, on rows packed straight from the cells, tests
+this containment for every seed combination at once: each combination is
+then a few parity tests and a back-substitution that returns its key.
 
 The intersection protocol is a small Boolean system of four vehicles; it
 ships as DSL source so the reachability backends can be compared on it.
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .dsl import SystemSpec, parse_system
 from .errors import DimensionError, SearchFailed, UsageError
-from .gf2 import solve_words
+from .gf2 import echelon
 
 
 @dataclass(frozen=True)
@@ -130,34 +131,49 @@ def key_search(spec: LfsrSpec, inst: CipherInstance, *, seed_width: int = 2,
     """Recover the key for a message/ciphertext pair.
 
     Seeds the first `seed_width` bits over all combinations and keeps the
-    remaining bits as shared generators: cell bit 0 is the center and bit
-    1 + j the generator of free key bit j. Cipher bit i is then the affine
-    form center_i ^ row_i . x over the free bits x, so the ciphertext lies
-    in the cipher zonotope exactly when row_i . x = center_i ^ message_i ^
-    cipher_i has a solution. Each cell packs straight into a row of that
-    system, `row_i | rhs_i << free`, and one `gf2.solve_words` per
-    combination either prunes it (no solution, so no key with that seed
-    exists) or returns the free bits, with every bit the solve leaves free
-    set to 0. A candidate key is accepted only if re-encrypting the message
-    reproduces the ciphertext exactly.
+    remaining bits as shared generators. The keystream is built once with
+    every key bit a generator: free key bit j is column j and seed bit i
+    is column `free + i`. Cell i packs into the row `cell_i | rhs_i << L`
+    for key length L, where rhs_i = message_i ^ cipher_i, and one
+    `gf2.echelon` over those rows serves every combination. A pivot whose
+    lowest bit is a seed column or the right-hand-side bit has no free
+    bits, so it is a parity test on the seed: if any test is odd, no key
+    with that seed exists and the combination is pruned. Otherwise the
+    pivots in free columns back-substitute, highest first, with every free
+    bit they leave open set to 0. Those are the pivot columns of the
+    seeded system alone, so the key is the one a solve per combination
+    would return. A candidate key is accepted only if re-encrypting the
+    message reproduces the ciphertext exactly.
     """
     if not 0 <= seed_width <= spec.length:
         raise ValueError(f"seed width {seed_width} out of range")
-    free = spec.length - seed_width
-    generators = tuple(2 << j for j in range(free))
-    target = [m ^ c for m, c in zip(inst.message, inst.cipher)]
+    length = spec.length
+    free = length - seed_width
+    columns = [1 << j for j in range(length)]
+    cells = lfsr_keystream(spec, columns[free:] + columns[:free], inst.l_m)
+    rows = [cell | (m ^ c) << length
+            for cell, m, c in zip(cells, inst.message, inst.cipher)]
+    pivots = echelon(rows)[1]
+    parity_tests = [w for low, w in pivots.items() if low >> free]
+    free_pivots = sorted(((low, w) for low, w in pivots.items()
+                          if not low >> free), reverse=True)
 
     for comb in range(1 << seed_width):
         seed = tuple(comb >> (seed_width - 1 - i) & 1 for i in range(seed_width))
-        cells = lfsr_keystream(spec, seed + generators, inst.l_m)
-        witness = solve_words([(cell >> 1) | ((cell & 1) ^ t) << free
-                               for cell, t in zip(cells, target)], free)
-        pruned = witness is None
+        # the seed in its columns and bit L set, so `w & x` holds a row's
+        # known part; back-substitution then fills in the free bits
+        x = 1 << length
+        for i, bit in enumerate(seed):
+            x |= bit << (free + i)
+        pruned = any((w & x).bit_count() & 1 for w in parity_tests)
         if on_comb is not None:
             on_comb(seed, pruned)
         if pruned:
             continue
-        key = seed + tuple(witness >> j & 1 for j in range(free))
+        for low, w in free_pivots:
+            if (w & x).bit_count() & 1:
+                x |= low
+        key = seed + tuple(x >> j & 1 for j in range(free))
         if encrypt(spec, key, inst.message) == tuple(inst.cipher):
             return key
     raise SearchFailed(f"no {spec.length}-bit key reproduces the ciphertext")

@@ -11,7 +11,7 @@ from logzono.dsl import parse_system, print_system
 from logzono.errors import DimensionError, SearchFailed
 from logzono.reach import check_containment, exact_reach, reach
 from logzono.zonotope import evaluate, full_set, singleton
-from logzono.gf2 import BitVec
+from logzono.gf2 import BitVec, echelon, solve_words
 
 SPEC4 = LfsrSpec(4, (4, 3), (4,))
 
@@ -115,10 +115,18 @@ def test_pruning_never_drops_true_seed():
 
 
 def test_search_failed_on_impossible_cipher():
-    # no 4-bit key produces an all-ones 16-bit keystream for these taps
+    """No 4-bit key produces an all-ones 16-bit keystream for these taps:
+    the right-hand-side bit becomes a pivot, so every seed is pruned."""
     inst = CipherInstance(tuple([0] * 16), tuple([1] * 16))
-    with pytest.raises(SearchFailed):
-        key_search(SPEC4, inst)
+    rows = [cell | 1 << 4 for cell in lfsr_keystream(SPEC4, [1, 2, 4, 8], 16)]
+    assert 1 << 4 in echelon(rows)[1]
+    for seed_width in (0, 2, 4):
+        reported = []
+        with pytest.raises(SearchFailed):
+            key_search(SPEC4, inst, seed_width=seed_width,
+                       on_comb=lambda seed, pruned: reported.append((seed, pruned)))
+        assert reported == [(seed, True) for seed in
+                            itertools.product((0, 1), repeat=seed_width)]
 
 
 def test_seed_width_bounds():
@@ -195,6 +203,61 @@ def test_seed_width_equal_to_key_length():
     with pytest.raises(SearchFailed):
         key_search(SPEC4, CipherInstance(tuple([0] * 16), tuple([1] * 16)),
                    seed_width=4)
+
+
+def _per_combination_search(spec, inst, seed_width, on_comb):
+    """Oracle: rebuild the keystream and solve the system for each seed."""
+    free = spec.length - seed_width
+    generators = tuple(2 << j for j in range(free))
+    target = [m ^ c for m, c in zip(inst.message, inst.cipher)]
+    for comb in range(1 << seed_width):
+        seed = tuple(comb >> (seed_width - 1 - i) & 1 for i in range(seed_width))
+        cells = lfsr_keystream(spec, seed + generators, inst.l_m)
+        witness = solve_words([(cell >> 1) | ((cell & 1) ^ t) << free
+                               for cell, t in zip(cells, target)], free)
+        on_comb(seed, witness is None)
+        if witness is None:
+            continue
+        key = seed + tuple(witness >> j & 1 for j in range(free))
+        if encrypt(spec, key, inst.message) == inst.cipher:
+            return key
+    raise SearchFailed("no key")
+
+
+def _search_outcome(search, spec, inst, seed_width):
+    reported = []
+    try:
+        key = search(spec, inst, seed_width=seed_width,
+                     on_comb=lambda seed, pruned: reported.append((seed, pruned)))
+    except SearchFailed:
+        key = None
+    return key, reported
+
+
+def test_key_search_matches_per_combination_solve():
+    """One elimination per search gives the same key (the same witness when
+    several keys fit), the same SearchFailed cases and the same on_comb
+    reports as one solve per seed combination."""
+    rng = random.Random(31)
+    outcomes = {"failed": 0, "found": 0}
+    for length in range(3, 13):
+        spec = scaled_spec(length)
+        for seed_width in sorted({0, 1, 2, 3, length}):
+            for l_m in (0, length // 2, length - 1, length, 4 * length):
+                for from_key in (True, False):
+                    message = [rng.randint(0, 1) for _ in range(l_m)]
+                    if from_key:
+                        key = tuple(rng.randint(0, 1) for _ in range(length))
+                        inst = make_instance(spec, key, message)
+                    else:
+                        inst = CipherInstance(tuple(message), tuple(
+                            rng.randint(0, 1) for _ in range(l_m)))
+                    expected = _search_outcome(_per_combination_search,
+                                               spec, inst, seed_width)
+                    assert _search_outcome(key_search, spec, inst,
+                                           seed_width) == expected
+                    outcomes["failed" if expected[0] is None else "found"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_intersection_source_parses_and_round_trips():
