@@ -41,6 +41,11 @@ class LfsrSpec:
                 raise ValueError(f"spec {name} taps must be ints, got {list(taps)!r}")
             if not taps or any(not 1 <= t <= self.length for t in taps):
                 raise ValueError(f"taps {taps} out of range 1..{self.length}")
+            # a tap listed twice cancels in the XOR, so the spec would not
+            # act as it reads
+            for t in taps:
+                if taps.count(t) > 1:
+                    raise ValueError(f"spec {name} lists tap {t} twice: {list(taps)!r}")
 
     def to_json_dict(self):
         return {"length": self.length, "feedback": list(self.feedback),
@@ -72,6 +77,8 @@ def scaled_spec(length: int) -> LfsrSpec:
     if length == 60:
         return LfsrSpec()
     fb = (length, length - 1, length - 2, max(2, length // 4))
+    # lengths 3 and 4 draw one tap twice, and the pair cancels in the XOR
+    fb = tuple(t for t in fb if fb.count(t) == 1)
     return LfsrSpec(length, fb, (length, length - 1))
 
 

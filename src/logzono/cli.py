@@ -379,8 +379,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError as e:
-        # input nested past the recursion limit: parentheses for the DSL
-        # parser, or a JSON file for json.load
+        # a JSON file nested past the recursion limit, for json.load; the
+        # DSL parser, the printer and both reach backends have no depth limit
         print(f"error: input nested too deeply: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -26,6 +26,14 @@ under its token. The parser and printer read that table; `eval_point`
 maps the op name to a bit function (`_BIT_OPS`) and `eval_zonotope` to
 the zonotope module's `mink_<op>`.
 
+The lexer is one `re.findall` pass that yields the tokens as plain
+strings, with "" appended for the end of input; a token's kind follows
+from its text. Tokens carry no position: a parse error knows the index
+of the token it failed at, and only then is that token's line and column
+recomputed from the source. The parser reads a rule by precedence
+climbing with its own operand and operator stacks, and the printer walks
+a rule with its own stack, so neither has a depth limit.
+
 `lower_rules` turns a system's rules into straight-line instructions over
 numbered slots, without recursion. Both reach backends run them: the
 zonotope backend on scalar zonotope codes, the explicit backend on bits.
@@ -36,6 +44,8 @@ dimension.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -43,7 +53,7 @@ from typing import Mapping, Union
 
 from . import zonotope as zn
 from .errors import (CyclicReferenceError, DslSyntaxError, DuplicateRuleError,
-                     EvalError, UnknownIdentifierError)
+                     EvalError, ParseError, UnknownIdentifierError)
 from .gf2 import BitVec
 
 # ---------------------------------------------------------------- AST nodes
@@ -122,231 +132,218 @@ class SystemSpec:
     def n_u(self):
         return len(self.input_vars)
 
+    @functools.cached_property
+    def lowered(self):
+        """`lower_rules(self)`, computed on first use and kept with the spec,
+        so every reach on one spec shares it (a `dataclasses.replace` copy
+        lowers again). Like the rest of a spec, its rules are not to be
+        changed in place."""
+        return lower_rules(self)
+
 
 # ------------------------------------------------------------------- lexer
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<punct>[{}(),;=&|^!'])
-""", re.VERBOSE)
+# A comment matches outside the group, so findall gives "" for it, and
+# whitespace matches nothing, so findall skips it; the last alternative
+# takes any other single character.
+_TOKEN_RE = re.compile(r"#[^\n]*|([A-Za-z_][A-Za-z0-9_]*|\d+|[{}(),;=&|^!']|[^ \t\r\n])")
+_BAD_CHAR = re.compile(r"[^A-Za-z_\d{}(),;=&|^!']")   # only the catch-all takes one
 
 _KEYWORDS = {"state", "input", "init", "in", "horizon", "nand", "nor", "xnor"}
 
 
-@dataclass
-class _Tok:
-    kind: str   # 'ident', 'int', 'punct', 'kw', 'eof'
-    text: str
-    line: int
-    col: int
-
-
-def _lex(src: str):
-    toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise DslSyntaxError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            if kind == "ident" and text in _KEYWORDS:
-                kind = "kw"
-            toks.append(_Tok(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+def _is_ident(t: str) -> bool:
+    return t.isidentifier() and t not in _KEYWORDS
 
 
 # ------------------------------------------------------------------ parser
 
+# The operator stack's entries, (level, node): each binary operator at its
+# _PRECEDENCE level, "!" tighter than all of them, and "(" below all, so
+# no operator inside parentheses reduces past it.
+_BINARY = {tok: (level, node) for level, ops in enumerate(_PRECEDENCE)
+           for tok, node in ops.items()}
+_BANG = (len(_PRECEDENCE), Not)
+_OPEN = (-1, None)
+_END = (0, None)        # any other token: reduce down to the innermost "("
+
 
 class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
+    """The tokens of one source, the index of the next one, and the system
+    read so far."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.toks = [*filter(None, _TOKEN_RE.findall(src)), ""]   # "": end of input
         self.i = 0
+        self.state_vars, self.input_vars = [], []
+        self.updates, self.init, self.inputs = {}, {}, {}
+        self.horizon = None
+        if _BAD_CHAR.search("".join(self.toks)):
+            i = next(i for i, t in enumerate(self.toks) if _BAD_CHAR.match(t))
+            raise self.error(DslSyntaxError, f"unexpected character {self.toks[i]!r}", i)
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def error(self, cls, message: str, i: int) -> ParseError:
+        """cls(message) at the line and col (from 1) where token i starts,
+        or at the end of the source for the final "" token."""
+        src = self.src
+        starts = (m.start() for m in _TOKEN_RE.finditer(src) if m.group(1) is not None)
+        pos = next(itertools.islice(starts, i, None), len(src))
+        return cls(message, src.count("\n", 0, pos) + 1, pos - src.rfind("\n", 0, pos))
 
-    def next(self) -> _Tok:
+    def expect(self, want: str) -> str:
+        """The next token, which must be `want`; "ident" and "int" stand
+        for any identifier or integer."""
         t = self.toks[self.i]
+        if not (_is_ident(t) if want == "ident" else t.isdecimal() if want == "int"
+                else t == want):
+            raise self.error(DslSyntaxError, f"expected {want!r}, got {t!r}", self.i)
         self.i += 1
         return t
 
-    def expect(self, kind, text=None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise DslSyntaxError(f"expected {want!r}, got {t.text!r}", t.line, t.col)
-        return self.next()
+    def system(self) -> SystemSpec:
+        toks = self.toks
+        while t := toks[self.i]:
+            start = self.i
+            self.i += 1
+            if t == "state" or t == "input":
+                names = [self.expect("ident")]
+                while toks[self.i] == ",":
+                    self.i += 1
+                    names.append(self.expect("ident"))
+                self.expect(";")
+                dest = self.state_vars if t == "state" else self.input_vars
+                for name in names:
+                    if name in self.state_vars or name in self.input_vars:
+                        raise self.error(DuplicateRuleError, f"variable {name!r} declared twice",
+                                         start)
+                    dest.append(name)
+            elif t == "init" or t == "in":
+                at = self.i
+                name = self.expect("ident")
+                self.expect("=")
+                dom = self.domain()
+                self.expect(";")
+                pool = self.state_vars if t == "init" else self.input_vars
+                dest = self.init if t == "init" else self.inputs
+                if name not in pool:
+                    kindname = "state" if t == "init" else "input"
+                    raise self.error(UnknownIdentifierError,
+                                     f"{name!r} is not a declared {kindname} variable", at)
+                if name in dest:
+                    raise self.error(DuplicateRuleError, f"domain for {name!r} given twice", at)
+                dest[name] = dom
+            elif t == "horizon":
+                at = self.i
+                n = self.expect("int")
+                self.expect(";")
+                if self.horizon is not None:
+                    raise self.error(DuplicateRuleError, "horizon given twice", at)
+                self.horizon = int(n)
+            elif _is_ident(t):
+                self.expect("'")
+                self.expect("=")
+                if t not in self.state_vars:
+                    raise self.error(UnknownIdentifierError,
+                                     f"rule for undeclared state variable {t!r}", start)
+                if t in self.updates:
+                    raise self.error(DuplicateRuleError, f"duplicate rule for {t!r}", start)
+                expr = self.expr()
+                self.expect(";")
+                self.updates[t] = expr
+            else:
+                raise self.error(DslSyntaxError, f"unexpected {t!r}", start)
 
-    # expression grammar, loosest to tightest: the _PRECEDENCE levels, then
-    # ! and atoms; every binary operator is left associative
-    def expr(self, ctx, level: int = 0) -> BoolExpr:
-        if level == len(_PRECEDENCE):
-            return self.unary(ctx)
-        ops = _PRECEDENCE[level]
-        e = self.expr(ctx, level + 1)
-        while self.peek().text in ops:
-            node = ops[self.next().text]
-            e = node(e, self.expr(ctx, level + 1))
-        return e
+        for v in self.state_vars:
+            if v not in self.updates:
+                raise self.error(DslSyntaxError, f"state variable {v!r} has no update rule", self.i)
+            if v not in self.init:
+                raise self.error(DslSyntaxError, f"state variable {v!r} has no init domain", self.i)
+        for v in self.input_vars:
+            if v not in self.inputs:
+                raise self.error(DslSyntaxError, f"input variable {v!r} has no domain", self.i)
+        return SystemSpec(tuple(self.state_vars), tuple(self.input_vars), self.updates,
+                          self.init, self.inputs, self.horizon or 0)
 
-    def unary(self, ctx) -> BoolExpr:
-        t = self.peek()
-        if t.text == "!":
-            self.next()
-            return Not(self.unary(ctx))
-        return self.atom(ctx)
+    def domain(self) -> tuple:
+        t = self.toks[self.i]
+        self.i += 1
+        if t == "0" or t == "1":
+            return (int(t),)
+        if t == "{":
+            vals = []
+            while True:
+                v = self.expect("int")
+                if v != "0" and v != "1":
+                    raise self.error(DslSyntaxError, f"domain bits must be 0 or 1, got {v}",
+                                     self.i - 1)
+                vals.append(int(v))
+                if self.toks[self.i] != ",":
+                    break
+                self.i += 1
+            self.expect("}")
+            return tuple(sorted(set(vals)))
+        raise self.error(DslSyntaxError, f"expected 0, 1 or {{...}}, got {t!r}", self.i - 1)
 
-    def atom(self, ctx) -> BoolExpr:
-        t = self.next()
-        if t.text == "(":
-            e = self.expr(ctx)
-            self.expect("punct", ")")
-            return e
-        if t.kind == "int":
-            if t.text not in ("0", "1"):
-                raise DslSyntaxError(f"only 0 and 1 are constants, got {t.text}", t.line, t.col)
-            return Const(int(t.text))
-        if t.kind == "ident":
-            primed = False
-            if self.peek().text == "'":
-                self.next()
-                primed = True
-            ctx.check_var(t, primed)
-            return Var(t.text, primed)
-        raise DslSyntaxError(f"expected an operand, got {t.text!r}", t.line, t.col)
-
-
-class _SystemBuilder:
-    def __init__(self):
-        self.state_vars = []
-        self.input_vars = []
-        self.updates = {}
-        self.init = {}
-        self.inputs = {}
-        self.horizon = 0
-        self.saw_horizon = False
-
-    def check_var(self, tok: _Tok, primed: bool):
-        name = tok.text
-        if primed:
-            if name not in self.state_vars:
-                raise UnknownIdentifierError(
-                    f"primed reference to non-state variable {name!r}", tok.line, tok.col)
-            if name not in self.updates:
-                raise CyclicReferenceError(
-                    f"{name}' is used before its rule is defined", tok.line, tok.col)
-        elif name not in self.state_vars and name not in self.input_vars:
-            raise UnknownIdentifierError(f"unknown variable {name!r}", tok.line, tok.col)
+    def expr(self) -> BoolExpr:
+        """One expression by precedence climbing: each operand is pushed
+        with the operator after it, and an operator first reduces every
+        entry on the stack that binds at least as tightly (all binary
+        operators associate to the left)."""
+        toks, i = self.toks, self.i
+        operands = []           # left operands of the pending binary operators
+        pending = []            # the operator stack
+        while True:
+            t = toks[i]
+            i += 1
+            if t == "!":
+                pending.append(_BANG)
+                continue
+            if t == "(":
+                pending.append(_OPEN)
+                continue
+            if t == "0" or t == "1":
+                e = Const(int(t))
+            elif t.isidentifier() and t not in _KEYWORDS:
+                primed = toks[i] == "'"
+                if primed:
+                    i += 1
+                    if t not in self.state_vars:
+                        raise self.error(UnknownIdentifierError,
+                                         f"primed reference to non-state variable {t!r}", i - 2)
+                    if t not in self.updates:
+                        raise self.error(CyclicReferenceError,
+                                         f"{t}' is used before its rule is defined", i - 2)
+                elif t not in self.state_vars and t not in self.input_vars:
+                    raise self.error(UnknownIdentifierError, f"unknown variable {t!r}", i - 1)
+                e = Var(t, primed)
+            elif t.isdecimal():
+                raise self.error(DslSyntaxError, f"only 0 and 1 are constants, got {t}", i - 1)
+            else:
+                raise self.error(DslSyntaxError, f"expected an operand, got {t!r}", i - 1)
+            # after an operand: reduce, close parentheses, or end
+            while True:
+                t = toks[i]
+                level, node = entry = _BINARY.get(t, _END)
+                while pending and pending[-1][0] >= level:
+                    op = pending.pop()[1]
+                    e = Not(e) if op is Not else op(operands.pop(), e)
+                if node is not None:
+                    i += 1
+                    operands.append(e)
+                    pending.append(entry)
+                    break
+                if not pending:
+                    self.i = i
+                    return e
+                if t != ")":
+                    raise self.error(DslSyntaxError, f"expected ')', got {t!r}", i)
+                i += 1
+                pending.pop()
 
 
 def parse_system(text: str) -> SystemSpec:
-    toks = _lex(text)
-    p = _Parser(toks)
-    b = _SystemBuilder()
-
-    while p.peek().kind != "eof":
-        t = p.peek()
-        if t.kind == "kw" and t.text in ("state", "input"):
-            p.next()
-            names = [p.expect("ident").text]
-            while p.peek().text == ",":
-                p.next()
-                names.append(p.expect("ident").text)
-            p.expect("punct", ";")
-            dest = b.state_vars if t.text == "state" else b.input_vars
-            for nt in names:
-                if nt in b.state_vars or nt in b.input_vars:
-                    raise DuplicateRuleError(f"variable {nt!r} declared twice", t.line, t.col)
-                dest.append(nt)
-        elif t.kind == "kw" and t.text in ("init", "in"):
-            p.next()
-            name_tok = p.expect("ident")
-            p.expect("punct", "=")
-            dom = _parse_domain(p)
-            p.expect("punct", ";")
-            pool = b.state_vars if t.text == "init" else b.input_vars
-            dest = b.init if t.text == "init" else b.inputs
-            if name_tok.text not in pool:
-                kindname = "state" if t.text == "init" else "input"
-                raise UnknownIdentifierError(
-                    f"{name_tok.text!r} is not a declared {kindname} variable",
-                    name_tok.line, name_tok.col)
-            if name_tok.text in dest:
-                raise DuplicateRuleError(
-                    f"domain for {name_tok.text!r} given twice", name_tok.line, name_tok.col)
-            dest[name_tok.text] = dom
-        elif t.kind == "kw" and t.text == "horizon":
-            p.next()
-            n_tok = p.expect("int")
-            p.expect("punct", ";")
-            if b.saw_horizon:
-                raise DuplicateRuleError("horizon given twice", n_tok.line, n_tok.col)
-            b.horizon = int(n_tok.text)
-            b.saw_horizon = True
-        elif t.kind == "ident":
-            name_tok = p.next()
-            p.expect("punct", "'")
-            p.expect("punct", "=")
-            if name_tok.text not in b.state_vars:
-                raise UnknownIdentifierError(
-                    f"rule for undeclared state variable {name_tok.text!r}",
-                    name_tok.line, name_tok.col)
-            if name_tok.text in b.updates:
-                raise DuplicateRuleError(
-                    f"duplicate rule for {name_tok.text!r}", name_tok.line, name_tok.col)
-            expr = p.expr(b)
-            p.expect("punct", ";")
-            b.updates[name_tok.text] = expr
-        else:
-            raise DslSyntaxError(f"unexpected {t.text!r}", t.line, t.col)
-
-    eof = p.peek()
-    for v in b.state_vars:
-        if v not in b.updates:
-            raise DslSyntaxError(f"state variable {v!r} has no update rule", eof.line, eof.col)
-        if v not in b.init:
-            raise DslSyntaxError(f"state variable {v!r} has no init domain", eof.line, eof.col)
-    for v in b.input_vars:
-        if v not in b.inputs:
-            raise DslSyntaxError(f"input variable {v!r} has no domain", eof.line, eof.col)
-
-    return SystemSpec(tuple(b.state_vars), tuple(b.input_vars), dict(b.updates),
-                      dict(b.init), dict(b.inputs), b.horizon)
-
-
-def _parse_domain(p: _Parser) -> tuple:
-    t = p.next()
-    if t.kind == "int" and t.text in ("0", "1"):
-        return (int(t.text),)
-    if t.text == "{":
-        vals = []
-        while True:
-            v = p.expect("int")
-            if v.text not in ("0", "1"):
-                raise DslSyntaxError(f"domain bits must be 0 or 1, got {v.text}", v.line, v.col)
-            vals.append(int(v.text))
-            if p.peek().text == ",":
-                p.next()
-                continue
-            break
-        p.expect("punct", "}")
-        return tuple(sorted(set(vals)))
-    raise DslSyntaxError(f"expected 0, 1 or {{...}}, got {t.text!r}", t.line, t.col)
+    return _Parser(text).system()
 
 
 # -------------------------------------------------------------- evaluation
@@ -408,7 +405,7 @@ def eval_zonotope(e: BoolExpr, env: Mapping[str, "zn.LogicalZonotope"]) -> "zn.L
 def lower_rules(spec: SystemSpec):
     """Lower spec's update rules once into straight-line code over slots.
 
-    Returns `(names, code)`. Slot i is named `names[i]`: the state
+    Returns the tuples `(names, code)`. Slot i is named `names[i]`: the state
     variables, the inputs, the next state ("x'"), the constants "0" and
     "1", then one slot "%j" per operator node, holding the value that
     instruction j computes. Each instruction is `(dst, op, a, b)`: `op` is
@@ -455,7 +452,7 @@ def lower_rules(spec: SystemSpec):
     for v in spec.state_vars:
         if v + "'" not in bound:
             raise EvalError(f"state variable {v!r} has no update rule")
-    return tuple(names), code
+    return tuple(names), tuple(code)
 
 
 # ------------------------------------------------------------ pretty print
@@ -465,18 +462,36 @@ _SYM = {node: tok for ops in _PRECEDENCE for tok, node in ops.items()}
 
 
 def print_expr(e: BoolExpr, parent_level: int = 0) -> str:
-    match e:
-        case Const(v):
-            return str(v)
-        case Var(name, primed):
-            return name + ("'" if primed else "")
-        case Not(a):
-            return "!" + print_expr(a, len(_PRECEDENCE))
-    lvl = _LEVEL[type(e)]
-    # left operand may sit at the same level (left associativity), the right
-    # operand needs strictly tighter binding to re-parse identically
-    s = f"{print_expr(e.a, lvl - 1)} {_SYM[type(e)]} {print_expr(e.b, lvl)}"
-    return f"({s})" if lvl <= parent_level else s
+    """e's source text with only the parentheses the parser needs; the
+    result is wrapped in them too when e binds no tighter than
+    parent_level. The tree is walked with an explicit stack, so no rule is
+    too deep to print."""
+    out = []
+    todo = [(e, parent_level)]     # (node, its parent's level), or text to emit
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, parent = item
+        match e:
+            case Const(v):
+                out.append(str(v))
+            case Var(name, primed):
+                out.append(name + "'" if primed else name)
+            case Not(a):
+                out.append("!")
+                todo.append((a, len(_PRECEDENCE)))
+            case _:
+                lvl = _LEVEL[type(e)]
+                if lvl <= parent:
+                    out.append("(")
+                    todo.append(")")
+                # the left operand may sit at the same level (left
+                # associativity), the right one must bind strictly tighter
+                # to re-parse identically
+                todo += [(e.b, lvl), f" {_SYM[type(e)]} ", (e.a, lvl - 1)]
+    return "".join(out)
 
 
 def _print_domain(dom: tuple) -> str:

@@ -1,8 +1,10 @@
 """N-step reachability for parsed Boolean systems.
 
 `reach` runs one step loop for both backends. Each backend supplies an
-initial state, a one-step advance and a record builder. Both lower the
-rules once per call with `dsl.lower_rules` and step on one program: each
+initial state, a one-step advance and a record builder. Both step on one
+program, the spec's rules as `dsl.lower_rules` lowers them: the spec keeps
+that result (`SystemSpec.lowered`), so the rules are lowered once however
+many reach calls share the spec. Each
 instruction is `(dst, table, a, b)`, and a step runs
 `env[dst] = table[env[a] << 2 | env[b]]` over it. A unary op reads slot
 "0" as b.
@@ -36,8 +38,9 @@ remaining steps share the last computed record's var_sets, zonos and
 joint objects, the first of them keeps its measured time and the rest get
 time_s 0.0.
 
-Timing: step 0's time_s covers the backend's setup (lowering the rules,
-plus the input zonotopes or the budget check) and the initial record; step
+Timing: step 0's time_s covers the backend's setup (lowering the rules on
+a spec's first reach, the input codes or the budget check, and mapping the
+program to the backend's tables) and the initial record; step
 k's covers its advance, the fixed-point test and its record. total_time_s
 covers the whole call.
 
@@ -59,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import zonotope
-from .dsl import _BIT_OPS, SystemSpec, lower_rules
+from .dsl import _BIT_OPS, SystemSpec
 from .errors import CapacityError, UsageError
 from .explicit import ExplicitSet
 from .gf2 import BitVec
@@ -205,10 +208,10 @@ def _domain_code(enclose, reduce_, domain: tuple) -> int:
 
 
 def _lowered(sys: SystemSpec, tables: dict):
-    """(env, program): lower_rules' slots, with slot "1" holding 1 (bit 1,
-    or code 1 = {1}) and every other slot 0, and its code as
+    """(env, program): the slots of sys.lowered, with slot "1" holding 1
+    (bit 1, or code 1 = {1}) and every other slot 0, and its code as
     (dst, tables[op], a, b)."""
-    names, code = lower_rules(sys)
+    names, code = sys.lowered
     env = [0] * len(names)
     env[names.index("1")] = 1
     zero = names.index("0")
@@ -241,7 +244,7 @@ def _zonotope_backend(sys: SystemSpec):
     domain_codes = _memo("domain", functools.partial(_domain_code, enclose_points, reduce),
                          (enclose_points, reduce))
     env, program = _lowered(sys, tables)
-    n_x, first_next = sys.n_x, sys.n_x + sys.n_u
+    names, n_x, first_next = sys.state_vars, sys.n_x, sys.n_x + sys.n_u
     for i, u in enumerate(sys.input_vars, n_x):
         env[i] = domain_codes[tuple(sys.inputs[u])]
 
@@ -251,10 +254,10 @@ def _zonotope_backend(sys: SystemSpec):
         return tuple(env[first_next:first_next + n_x])
 
     def record(k: int, state: tuple) -> StepRecord:
-        var_sets = {v: _VALUES[c] for v, c in zip(sys.state_vars, state)}
-        free = sum(c >> 1 for c in state)
-        return StepRecord(k, var_sets, n_x + free, 1 << free, 0.0,
-                          zonos={v: _SCALARS[c] for v, c in zip(sys.state_vars, state)})
+        free = state.count(2) + state.count(3)      # codes with a generator
+        return StepRecord(k, dict(zip(names, map(_VALUES.__getitem__, state))),
+                          n_x + free, 1 << free, 0.0,
+                          zonos=dict(zip(names, map(_SCALARS.__getitem__, state))))
 
     state = tuple(domain_codes[tuple(sys.init[v])] for v in sys.state_vars)
     return state, advance, record
@@ -314,38 +317,39 @@ def exact_reach(sys: SystemSpec, n: int, *,
 def check_containment(r_zono: ReachResult, r_exact: ReachResult) -> ContainmentReport:
     """Every exact joint state must fall inside the per-variable zonotopes.
 
-    Each (zonotope, bit) pair is tested once, and a step that shares its
-    zonos and joint set with an earlier one (a fixed-point tail) reuses
-    that step's verdict. The points of a step are walked only when some
-    value a variable takes there (its explicit record's var_sets) is not
-    contained, so violations come in point order, then variable order.
+    The bits each distinct zonotope contains are computed once, and a step
+    that shares its zonos and joint set with an earlier one (a fixed-point
+    tail) reuses that step's verdict. The points of a step are walked only
+    when some value a variable takes there (its explicit record's
+    var_sets) is not contained, so violations come in point order, then
+    variable order.
     """
     if r_zono.horizon != r_exact.horizon or r_zono.var_names != r_exact.var_names:
         raise UsageError("reach results compare different systems or horizons")
     if r_zono.backend != "zonotope" or r_exact.backend != "explicit":
         raise UsageError("expected a zonotope result and an explicit result")
     names = r_zono.var_names
-    # (id(zonotope), bit) -> contains; r_zono keeps every zonotope alive
-    verdicts = {}
+    admitted = {}      # id(zonotope) -> the bits it contains; r_zono keeps each alive
     step_ok = {}       # (id(zonos), id(joint)) -> every value contained
 
-    def holds(z, bit):
-        key = (id(z), bit)
-        if key not in verdicts:
-            verdicts[key] = contains(z, BitVec(1, bit))
-        return verdicts[key]
+    def bits_in(z) -> frozenset:
+        bits = admitted.get(id(z))
+        if bits is None:
+            bits = admitted[id(z)] = frozenset(
+                bit for bit in (0, 1) if contains(z, BitVec(1, bit)))
+        return bits
 
     violations = []
     surplus = []
     for zs, es in zip(r_zono.steps, r_exact.steps):
-        key = (id(zs.zonos), id(es.joint))
+        zonos = zs.zonos
+        key = (id(zonos), id(es.joint))
         if key not in step_ok:
-            step_ok[key] = all(holds(zs.zonos[v], bit)
-                               for v in names for bit in es.var_sets[v])
+            step_ok[key] = all(bits_in(zonos[v]).issuperset(es.var_sets[v]) for v in names)
         if not step_ok[key]:
             for point in es.joint:
                 for i, v in enumerate(names):
-                    if not holds(zs.zonos[v], point.word >> i & 1):
+                    if (point.word >> i & 1) not in bits_in(zonos[v]):
                         violations.append((zs.k, point.to_text(), v))
         surplus.append(zs.size - es.size)
     return ContainmentReport(not violations, violations, surplus)

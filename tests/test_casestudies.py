@@ -38,13 +38,31 @@ def test_keystream_frozen_vector():
 
 def test_keystream_matches_independent_oracle():
     rng = random.Random(7)
-    for _ in range(30):
-        length = rng.randint(2, 12)
-        spec = scaled_spec(length)
-        key = [rng.randint(0, 1) for _ in range(length)]
-        l_m = rng.randint(1, 3 * length)
+    # feedback taps that leave out the length, which scaled_spec never draws
+    hand_made = [LfsrSpec(7, (5, 2), (1, 7)), LfsrSpec(5, (1,), (3,)),
+                 LfsrSpec(9, (8, 4, 3, 1), (2, 9, 5))]
+    for spec in [scaled_spec(rng.randint(3, 12)) for _ in range(30)] + hand_made:
+        key = [rng.randint(0, 1) for _ in range(spec.length)]
+        l_m = rng.randint(1, 3 * spec.length)
         assert lfsr_keystream(spec, key, l_m) == oracle_lfsr(
-            length, spec.feedback, spec.output, key, l_m)
+            spec.length, spec.feedback, spec.output, key, l_m)
+
+
+def test_scaled_spec_lists_no_tap_twice():
+    # lengths 3 and 4 once listed (3, 2, 1, 2) and (4, 3, 2, 2); the
+    # repeated tap cancels in the XOR, so the keystreams are the same
+    assert scaled_spec(3).feedback == (3, 1)
+    assert scaled_spec(4).feedback == (4, 3)
+    rng = random.Random(20)
+    for length, listed in ((3, (3, 2, 1, 2)), (4, (4, 3, 2, 2))):
+        spec = scaled_spec(length)
+        for _ in range(50):
+            key = [rng.randint(0, 1) for _ in range(length)]
+            assert lfsr_keystream(spec, key, 40) == oracle_lfsr(
+                length, listed, spec.output, key, 40)
+    for length in range(3, 70):
+        taps = scaled_spec(length).feedback
+        assert len(set(taps)) == len(taps)
 
 
 def test_all_zero_key_gives_all_zero_stream():
@@ -61,6 +79,10 @@ def test_tap_validation():
         LfsrSpec(4, (5,), (4,))
     with pytest.raises(ValueError):
         LfsrSpec(4, (), (4,))
+    with pytest.raises(ValueError, match="spec feedback lists tap 3 twice"):
+        LfsrSpec(4, (4, 3, 3), (4,))
+    with pytest.raises(ValueError, match="spec output lists tap 4 twice"):
+        LfsrSpec(4, (4, 3), (4, 1, 4))
 
 
 def test_spec_json_round_trip():

@@ -84,9 +84,10 @@ def test_reach_missing_file(capsys):
 
 
 def test_reach_rule_deeper_than_recursion_limit(tmp_path, capsys):
-    # the chain parses without recursion, and both backends run on its
-    # lowered instructions
-    chain = " & ".join(["u"] * (sys.getrecursionlimit() + 200) + ["x"])
+    # the chain, in as many parentheses, parses without recursion, and
+    # both backends run on its lowered instructions
+    depth = sys.getrecursionlimit() + 200
+    chain = "(" * depth + " & ".join(["u"] * depth + ["x"]) + ")" * depth
     deep = tmp_path / "deep.lbn"
     deep.write_text(f"state x; input u; x' = {chain};"
                     "init x = {0,1}; in u = {0,1}; horizon 3;")
@@ -186,6 +187,11 @@ def test_lfsr_length_below_three_names_the_length(argv, capsys):
     assert run(argv) == cli.EXIT_INPUT
     length = argv[-1]
     assert capsys.readouterr().err == f"error: LFSR length must be at least 3, got {length}\n"
+
+
+def test_lfsr_repeated_tap_is_an_input_error(capsys):
+    assert run(["lfsr", "--length", "4", "--taps", "4,3,3", "--output-taps", "4"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: spec feedback lists tap 3 twice: [4, 3, 3]\n"
 
 
 def test_lfsr_underdetermined_warning(capsys):

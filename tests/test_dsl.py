@@ -392,8 +392,8 @@ def test_lower_rules_layout():
                         "init a = 0; init b = 0; in u = {0,1};")
     names, code = lower_rules(spec)
     assert names == ("a", "b", "u", "a'", "b'", "0", "1", "%0", "%1", "%3")
-    assert code == [(7, "not", 0, None), (8, "and", 7, 2), (3, "copy", 8, None),
-                    (9, "nor", 3, 6), (4, "copy", 9, None)]
+    assert code == ((7, "not", 0, None), (8, "and", 7, 2), (3, "copy", 8, None),
+                    (9, "nor", 3, 6), (4, "copy", 9, None))
 
 
 def test_lower_rules_unbound_names():

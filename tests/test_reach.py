@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from logzono.errors import CapacityError, UsageError
 from logzono.gf2 import BitVec
 from logzono.reach import (ReachResult, StepRecord, check_containment,
                            exact_reach, reach)
-from logzono.zonotope import (LogicalZonotope, enclose_points, evaluate,
+from logzono.zonotope import (LogicalZonotope, contains, enclose_points, evaluate,
                               full_set, mink_and, mink_nand, mink_nor,
                               mink_not, mink_or, mink_xnor, mink_xor, reduce,
                               singleton)
@@ -450,3 +451,65 @@ def test_intersection_explicit_reach_stops_at_fixed_point():
     rx = reach(sys_, 50, "explicit")
     assert _explicit_records(rx) == _plain_explicit_reach(sys_, 50)
     _assert_fixed_point_tail(rx)
+
+
+def test_reach_lowers_each_spec_once(monkeypatch):
+    dsl = importlib.import_module("logzono.dsl")
+    calls = []
+    real = dsl.lower_rules
+    monkeypatch.setattr(dsl, "lower_rules", lambda spec: calls.append(spec) or real(spec))
+    sys_ = intersection_system()
+    rz, rx = reach(sys_, 5, "zonotope"), reach(sys_, 5, "explicit")
+    assert calls == [sys_]
+    assert check_containment(rz, rx).ok
+    copy = replace(sys_)
+    assert _records(reach(copy, 5, "zonotope")) == _records(rz)
+    assert len(calls) == 2 and calls[1] is copy
+
+
+def _plain_check_containment(r_zono, r_exact):
+    """Every point of every step against every variable's zonotope."""
+    violations = []
+    for zs, es in zip(r_zono.steps, r_exact.steps):
+        for point in es.joint:
+            for i, v in enumerate(r_zono.var_names):
+                if not contains(zs.zonos[v], BitVec(1, point.word >> i & 1)):
+                    violations.append((zs.k, point.to_text(), v))
+    surplus = [zs.size - es.size for zs, es in zip(r_zono.steps, r_exact.steps)]
+    return not violations, violations, surplus
+
+
+def _corrupt(rng, rz):
+    """A copy of rz whose zonotopes drop values at some steps. Steps that
+    shared a zonos dict share its corrupted copy, so a fixed-point tail
+    stays one object; the stand-ins are 1-bit zonotopes with and without a
+    zero generator, so they are not the backend's own four."""
+    stand_ins = [singleton(BitVec(1, 0)), singleton(BitVec(1, 1)),
+                 LogicalZonotope(BitVec(1, 1), (BitVec(1, 0),)), full_set(1)]
+    copies = {}
+    steps = []
+    for s in rz.steps:
+        if id(s.zonos) not in copies:
+            zonos = dict(s.zonos)
+            if rng.random() < 0.4:
+                for v in rng.sample(rz.var_names, rng.randint(1, len(rz.var_names))):
+                    zonos[v] = rng.choice(stand_ins)
+            copies[id(s.zonos)] = zonos
+        steps.append(replace(s, zonos=copies[id(s.zonos)]))
+    return replace(rz, steps=steps)
+
+
+def test_check_containment_reports_match_plain_check_on_corrupted_results(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import reference
+    rng = random.Random(2024)
+    specs = [parse_system(src) for src, _ in reference.random_pool()[:15]]
+    unsound = 0
+    for sys_ in [*specs, intersection_system()]:
+        for n in (0, 1, 30):
+            rz, rx = reach(sys_, n, "zonotope"), reach(sys_, n, "explicit")
+            for bad in (rz, _corrupt(rng, rz), _corrupt(rng, rz)):
+                rep = check_containment(bad, rx)
+                assert (rep.ok, rep.violations, rep.surplus) == _plain_check_containment(bad, rx)
+                unsound += not rep.ok
+    assert unsound > 20
