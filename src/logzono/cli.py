@@ -41,8 +41,6 @@ def _emit(args, obj, text_lines, csv_rows=None, csv_header=None):
     if args.out == "json":
         print(_canonical_json(obj), end="")
     elif args.out == "csv":
-        if csv_rows is None:
-            raise UsageError(f"{args.cmd} has no CSV form")
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(csv_header)
@@ -280,9 +278,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p, default_out="text"):
-    p.add_argument("--out", choices=["json", "csv", "text"],
-                   default=default_out)
+def _add_common(p, default_out="text", outs=("json", "csv", "text")):
+    """--out, offered only in the formats the command can print, and --golden."""
+    p.add_argument("--out", choices=outs, default=default_out)
     p.add_argument("--golden", metavar="FILE",
                    help="also write canonical JSON to FILE")
 
@@ -333,19 +331,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", nargs="?")
     p.add_argument("--evaluate", action="store_true",
                    help="also list the explicit points")
-    _add_common(p, default_out="json")
+    _add_common(p, default_out="json", outs=("json", "text"))
     _add_gamma_cap(p)
 
     p = sub.add_parser("reduce", help="drop redundant generators")
     p.add_argument("zonotope")
     p.add_argument("--evaluate", action="store_true")
-    _add_common(p, default_out="json")
+    _add_common(p, default_out="json", outs=("json", "text"))
     _add_gamma_cap(p)
 
     p = sub.add_parser("contains", help="membership test for a bitstring")
     p.add_argument("zonotope")
     p.add_argument("point")
-    _add_common(p)
+    _add_common(p, outs=("json", "text"))
 
     p = sub.add_parser("bench", help="benchmark tables")
     p.add_argument("target", choices=["intersection", "lfsr"])

@@ -144,10 +144,6 @@ def identity(k: int) -> BitMatrix:
     return BitMatrix(k, k, tuple(1 << i for i in range(k)))
 
 
-def zero_matrix(rows: int, cols: int) -> BitMatrix:
-    return BitMatrix(rows, cols, (0,) * rows)
-
-
 def from_columns(cols: Iterable[BitVec]) -> BitMatrix:
     cols = list(cols)
     n = cols[0].n

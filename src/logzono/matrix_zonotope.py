@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapacityError, DimensionError
+from .errors import DimensionError
 from .gf2 import BitMatrix, stp
-from .zonotope import effective_cap
+from .zonotope import _check_gamma
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ class LogicalMatrixZonotope:
 
 def evaluate_matrix(l: LogicalMatrixZonotope, cap: Optional[int] = None) -> frozenset:
     """All matrices over the 2^gamma generator assignments, deduplicated."""
-    cap = effective_cap(cap)
-    if l.gamma > cap:
-        raise CapacityError(
-            f"gamma={l.gamma} exceeds enumeration cap {cap} (LOGZONO_GAMMA_CAP)")
+    _check_gamma(l.gamma, cap)
     out = {l.center}
     for g in l.generators:
         if any(g.row_words):

@@ -14,15 +14,14 @@ instruction is `(dst, table, a, b)`, and a step runs
   normalized scalar zonotope is one of those four objects, and every
   Minkowski op's result code depends only on its operands' codes
   (`zonotope.scalar_normalize`). Initial and input sets are built with
-  enclose_points and reduced, then coded. Each op's table and the domain
-  codes live for the process: an entry is filled the first time any call
-  needs it, by applying the op's `zonotope.mink_<op>` to the representative
-  zonotopes and normalizing, or by enclosing and reducing the domain. Each
-  call looks those functions up again and keeps a memo only while they are
-  the very objects that filled it (every table depends on all the
-  `mink_<op>`s, which call each other), so a patched or traced function
-  gets an empty memo filled through it. Records map codes back to the four
-  representatives (`_SCALARS`).
+  enclose_points and reduced, then coded. Each call looks up the current
+  `zonotope.mink_<op>`s, `scalar_normalize`, `enclose_points` and `reduce`;
+  every op's table is built in full through them (the op applied to the
+  representative zonotopes, then normalized), and the tables and domain
+  codes are kept while those functions stay the same objects. Every table
+  depends on all the `mink_<op>`s, which call each other, so a patched or
+  traced function gets a full set of tables built through it. Records map
+  codes back to the four representatives (`_SCALARS`).
 * "explicit": ground-truth enumeration of the joint reachable set,
   R_{k+1} = { f(x,u) : x in R_k, u in U }. The state is a set of words
   (state_vars[i] at bit i). The tables hold `eval_point`'s bit functions,
@@ -160,51 +159,44 @@ _SCALARS = tuple(LogicalZonotope(BitVec(1, c & 1), (BitVec(1, 1),) if c & 2 else
 _VALUES = ((0,), (1,), (0, 1), (0, 1))   # code -> the values `evaluate` gives
 _PRESENT = ((), (0,), (1,), (0, 1))      # (0 present) | (1 present) << 1 -> values
 
-# A table maps operand values a, b (codes or bits) to the result, at a << 2 | b.
-# A unary op reads slot "0" as b, which holds 0 in both backends.
-_COPY = tuple(key >> 2 for key in range(16))
+
+def _table(f) -> tuple:
+    """f's table: the result for operand values a, b (codes or bits) at
+    a << 2 | b. A unary op reads slot "0" as b, which holds 0 in both
+    backends."""
+    return tuple(f(key >> 2, key & 3) for key in range(16))
+
+
+_COPY = _table(lambda a, b: a)
 # The explicit backend's tables: eval_point's bit functions, never the
 # Minkowski ops it checks. Only entries with a, b in {0, 1} are read.
-_BIT_TABLES = {"copy": _COPY, "not": tuple(1 - (key >> 2) for key in range(16)),
-               **{op: tuple(f(key >> 2, key & 3) for key in range(16))
-                  for op, f in _BIT_OPS.items()}}
+_BIT_TABLES = {"copy": _COPY, "not": _table(lambda a, b: 1 - a),
+               **{op: _table(f) for op, f in _BIT_OPS.items()}}
 
 
-class _Memo(dict):
-    """compute(key) by key, each entry computed on first use; fns are the
-    function objects compute calls, the memo's validity key."""
+@functools.lru_cache(maxsize=1)
+def _scalar_tables(normalize, enclose, reduce_, mink_not, *minks):
+    """(tables, domain code) for the zonotope backend: every op's table in
+    full, its entries the normalized codes of mink_not and minks (the
+    binary ops in _BIT_OPS order) on the representatives, and a function
+    from an input domain to the code of its enclosure, reduced.
 
-    def __init__(self, compute, fns: tuple):
-        super().__init__()
-        self.compute, self.fns = compute, fns
+    lru_cache compares the functions by identity. Each table depends on
+    all of them (mink_or is mink_nand of mink_nots), so a replaced or
+    traced function gets a new set built through it, an undo rebuilds from
+    the originals, and one set is kept at a time."""
+    def code(z: LogicalZonotope) -> int:
+        return _code(normalize(z))
 
-    def __missing__(self, key):
-        self[key] = value = self.compute(key)
-        return value
+    tables = {"copy": _COPY, "not": _table(lambda a, b: code(mink_not(_SCALARS[a]))),
+              **{op: _table(lambda a, b, mink=mink: code(mink(_SCALARS[a], _SCALARS[b])))
+                 for op, mink in zip(_BIT_OPS, minks)}}
 
+    @functools.lru_cache(maxsize=None)
+    def domain_code(domain: tuple) -> int:
+        return _code(reduce_(enclose([BitVec(1, b) for b in domain])))
 
-_MEMOS = {}                        # name -> its one live _Memo
-
-
-def _memo(name: str, compute, fns: tuple) -> _Memo:
-    """The process-wide memo `name`, kept while it was made with the same
-    function objects as fns and replaced by one made with compute otherwise."""
-    memo = _MEMOS.get(name)
-    if memo is None or any(a is not b for a, b in zip(memo.fns, fns)):
-        memo = _MEMOS[name] = _Memo(compute, fns)
-    return memo
-
-
-def _mink_code(mink, normalize, key: int) -> int:
-    return _code(normalize(mink(_SCALARS[key >> 2], _SCALARS[key & 3])))
-
-
-def _not_code(mink, normalize, key: int) -> int:
-    return _code(normalize(mink(_SCALARS[key >> 2])))
-
-
-def _domain_code(enclose, reduce_, domain: tuple) -> int:
-    return _code(reduce_(enclose([BitVec(1, b) for b in domain])))
+    return tables, domain_code
 
 
 def _lowered(sys: SystemSpec, tables: dict):
@@ -230,23 +222,15 @@ def _code(z: LogicalZonotope) -> int:
 
 def _zonotope_backend(sys: SystemSpec):
     """(initial state, advance, record) with tuples of scalar zonotope codes."""
-    # resolved per call, not bound at import, so a tracer or a test that
-    # replaces these functions gets memos filled through them. One op's
-    # function calls others' (mink_or is mink_nand of mink_nots), so every
-    # table is kept only while all of them are unchanged.
-    normalize = zonotope.scalar_normalize
-    minks = {op: getattr(zonotope, "mink_" + op) for op in ("not", *_BIT_OPS)}
-    fns = (normalize, *minks.values())
-    tables = {"copy": _COPY,
-              **{op: _memo(op, functools.partial(_not_code if op == "not" else _mink_code,
-                                                 mink, normalize), fns)
-                 for op, mink in minks.items()}}
-    domain_codes = _memo("domain", functools.partial(_domain_code, enclose_points, reduce),
-                         (enclose_points, reduce))
+    # looked up per call, not bound at import, so a tracer or a test that
+    # replaces one of these functions gets tables built through it
+    tables, domain_code = _scalar_tables(
+        zonotope.scalar_normalize, enclose_points, reduce, zonotope.mink_not,
+        *(getattr(zonotope, "mink_" + op) for op in _BIT_OPS))
     env, program = _lowered(sys, tables)
     names, n_x, first_next = sys.state_vars, sys.n_x, sys.n_x + sys.n_u
     for i, u in enumerate(sys.input_vars, n_x):
-        env[i] = domain_codes[tuple(sys.inputs[u])]
+        env[i] = domain_code(tuple(sys.inputs[u]))
 
     def advance(state: tuple) -> tuple:
         env[:n_x] = state
@@ -259,7 +243,7 @@ def _zonotope_backend(sys: SystemSpec):
                           n_x + free, 1 << free, 0.0,
                           zonos=dict(zip(names, map(_SCALARS.__getitem__, state))))
 
-    state = tuple(domain_codes[tuple(sys.init[v])] for v in sys.state_vars)
+    state = tuple(domain_code(tuple(sys.init[v])) for v in sys.state_vars)
     return state, advance, record
 
 

@@ -43,6 +43,14 @@ def effective_cap(cap: Optional[int] = None) -> int:
     return value
 
 
+def _check_gamma(gamma: int, cap: Optional[int]) -> None:
+    """Raise CapacityError when gamma exceeds effective_cap(cap)."""
+    cap = effective_cap(cap)
+    if gamma > cap:
+        raise CapacityError(
+            f"gamma={gamma} exceeds enumeration cap {cap} ({_CAP_ENV})")
+
+
 @dataclass(frozen=True)
 class LogicalZonotope:
     center: BitVec
@@ -118,10 +126,7 @@ def evaluate(l: LogicalZonotope, cap: Optional[int] = None) -> ExplicitSet:
     Raises CapacityError when gamma (not the rank) exceeds the enumeration
     cap.
     """
-    cap = effective_cap(cap)
-    if l.gamma > cap:
-        raise CapacityError(
-            f"gamma={l.gamma} exceeds enumeration cap {cap} ({_CAP_ENV})")
+    _check_gamma(l.gamma, cap)
     words = [l.center.word]
     for p in echelon([g.word for g in l.generators])[1].values():
         words += [w ^ p for w in words]

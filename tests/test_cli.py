@@ -283,6 +283,18 @@ def test_golden_writes_canonical_json(system_file, tmp_path, capsys):
     assert text == json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["contains", "A", "01"], ["set", "not", "A"], ["reduce", "A"]])
+def test_out_csv_rejected_where_no_csv_form(zono_files, tmp_path, capsys, argv):
+    # argparse refuses the format before the command runs, so --golden
+    # writes nothing
+    golden = tmp_path / "g.json"
+    argv = [zono_files[0] if a == "A" else a for a in argv]
+    assert run(argv + ["--out", "csv", "--golden", str(golden)]) == cli.EXIT_INPUT
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert not golden.exists()
+
+
 def test_gamma_cap_validation(zono_files, capsys):
     a, _ = zono_files
     assert run(["set", "not", a, "--gamma-cap", "-1"]) == 1

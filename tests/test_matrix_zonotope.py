@@ -3,9 +3,10 @@ import random
 import pytest
 
 from logzono.errors import CapacityError, DimensionError
-from logzono.gf2 import BitMatrix, identity, stp, zero_matrix
+from logzono.gf2 import BitMatrix, BitVec, identity, stp
 from logzono.matrix_zonotope import (LogicalMatrixZonotope, evaluate_matrix,
                                      mink_stp)
+from logzono.zonotope import LogicalZonotope, evaluate
 
 
 def M(text):
@@ -33,7 +34,7 @@ def test_evaluate_singleton():
 
 
 def test_evaluate_zero_generator_collapses():
-    l = LogicalMatrixZonotope(M("11"), (zero_matrix(1, 2),))
+    l = LogicalMatrixZonotope(M("11"), (BitMatrix(1, 2, (0,)),))
     assert evaluate_matrix(l) == {M("11")}
 
 
@@ -46,6 +47,18 @@ def test_evaluate_cap():
     l = LogicalMatrixZonotope(M("1"), tuple(M("1") for _ in range(5)))
     with pytest.raises(CapacityError, match="cap 3"):
         evaluate_matrix(l, cap=3)
+
+
+def test_evaluate_cap_messages_match_vector_evaluate(monkeypatch):
+    # the matrix and vector enumerations share one cap check and its message
+    monkeypatch.delenv("LOGZONO_GAMMA_CAP", raising=False)
+    for cap in (None, 3):
+        with pytest.raises(CapacityError) as matrix_err:
+            evaluate_matrix(LogicalMatrixZonotope(M("1"), (M("1"),) * 25), cap)
+        with pytest.raises(CapacityError) as vector_err:
+            evaluate(LogicalZonotope(BitVec(1, 1), (BitVec(1, 1),) * 25), cap)
+        expected = f"gamma=25 exceeds enumeration cap {cap or 20} (LOGZONO_GAMMA_CAP)"
+        assert str(matrix_err.value) == str(vector_err.value) == expected
 
 
 def test_singleton_stp_is_definition3():

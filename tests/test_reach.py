@@ -13,7 +13,7 @@ from logzono import zonotope
 from logzono.casestudies import intersection_system
 from logzono.dsl import (And, Const, Nand, Nor, Not, Or, Var, Xnor, Xor,
                          SystemSpec, eval_point, eval_zonotope, parse_system)
-from logzono.errors import CapacityError, UsageError
+from logzono.errors import CapacityError, EmptyInputError, UsageError
 from logzono.gf2 import BitVec
 from logzono.reach import (ReachResult, StepRecord, check_containment,
                            exact_reach, reach)
@@ -300,9 +300,32 @@ def test_zonotope_reach_tables_outlive_the_call(monkeypatch):
     assert fills == []
     monkeypatch.undo()
     assert _records(reach(sys_, 5, "zonotope")) == first
-    # one memo per op and one for domain codes, however often they were replaced
-    assert sorted(REACH._MEMOS) == sorted(["and", "domain", "nand", "nor", "not",
-                                           "or", "xnor", "xor"])
+    # one set of tables, however often the functions were replaced
+    assert REACH._scalar_tables.cache_info().currsize == 1
+
+
+def test_zonotope_reach_tables_follow_repeated_patches(monkeypatch):
+    # each patch and each undo must show in the next call's records, and
+    # only the tables of the current functions are kept
+    sys_ = parse_system("state x, y; input u; x' = x & u; y' = !(y & x);"
+                        "init x = 0; init y = 1; in u = {0,1};")
+    right = _records(reach(sys_, 3, "zonotope"))
+    assert right[1][1] == {"x": (0,), "y": (1,)}
+    for _ in range(4):
+        monkeypatch.setattr(zonotope, "mink_and", lambda a, b: singleton(BitVec(1, 1)))
+        wrong = _records(reach(sys_, 3, "zonotope"))
+        assert wrong[1][1] == {"x": (1,), "y": (0,)}
+        assert REACH._scalar_tables.cache_info().currsize == 1
+        monkeypatch.undo()
+        assert _records(reach(sys_, 3, "zonotope")) == right
+        assert REACH._scalar_tables.cache_info().currsize == 1
+
+
+def test_zonotope_reach_empty_hand_built_domain_raises():
+    sys_ = SystemSpec(("x",), ("u",), {"x": Var("x")}, {"x": (0,)}, {"u": ()})
+    for _ in range(2):
+        with pytest.raises(EmptyInputError):
+            reach(sys_, 1, "zonotope")
 
 
 def test_zonotope_reach_refills_after_scalar_normalize_changes(monkeypatch):
